@@ -13,7 +13,7 @@ from .divisor import (ConditionReport, MinimalDivisor, binding_vector,
                       minimal_openbook_divisor, openbook_condition,
                       scale_divisor)
 from .errors import (ConsistencyError, DimensionError, ParseError,
-                     PlumbookError, SingularMatrixError, ValidationError)
+                     PlumbookError, ValidationError)
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      brieskorn_mu, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
@@ -24,9 +24,8 @@ from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
                        OpenBookDescription, build_open_book,
                        equivalence_certificate, solve_multiplicities,
                        verify_gluing)
-from .rational import (QMatrix, Rational, determinant, inverse,
-                       is_negative_definite, lcm_of_denominators, qvector,
-                       solve)
+from .rational import (Elimination, QMatrix, Rational, eliminate,
+                       lcm_of_denominators, qvector)
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
 
@@ -40,6 +39,7 @@ __all__ = [
     "ConsistencyError",
     "DimensionError",
     "EdgeCurve",
+    "Elimination",
     "EquivalenceCertificate",
     "FamilyParams",
     "GluingCheck",
@@ -51,7 +51,6 @@ __all__ = [
     "PlumbookError",
     "QMatrix",
     "Rational",
-    "SingularMatrixError",
     "SmoothingInvariants",
     "SurgeryReport",
     "ValidationError",
@@ -64,12 +63,10 @@ __all__ = [
     "canonical_cycle",
     "closed_form_check",
     "default_t",
-    "determinant",
+    "eliminate",
     "equivalence_certificate",
     "family_resolution_graph",
     "intersection_matrix",
-    "inverse",
-    "is_negative_definite",
     "lcm_of_denominators",
     "milnor_fiber_invariants",
     "minimal_openbook_divisor",
@@ -82,7 +79,6 @@ __all__ = [
     "render_text",
     "scale_divisor",
     "serialize_graph",
-    "solve",
     "solve_multiplicities",
     "specialized",
     "surface_mu",

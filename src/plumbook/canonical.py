@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import PlumbingGraph, intersection_matrix, validate
-from .rational import solve
+from .graph import PlumbingGraph, validate
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,8 @@ def adjunction_rhs(graph: PlumbingGraph) -> tuple[int, ...]:
 
 def canonical_cycle(graph: PlumbingGraph) -> CanonicalCycle:
     """Solve the adjunction system exactly and report K^2 = r . rhs."""
-    validate(graph)
     rhs = adjunction_rhs(graph)
-    coefficients = solve(intersection_matrix(graph), rhs)
+    coefficients = validate(graph).factors.solve(rhs)
     k_squared = sum((r * b for r, b in zip(coefficients, rhs)), Fraction(0))
     return CanonicalCycle(coefficients=coefficients, k_squared=k_squared,
                           adjunction_rhs=rhs)

@@ -28,10 +28,9 @@ from .errors import ConsistencyError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
-from .graph import PlumbingGraph, intersection_matrix, parse_graph, validate
+from .graph import PlumbingGraph, parse_graph, validate
 from .openbook import (OpenBookDescription, build_open_book,
                        equivalence_certificate, verify_gluing)
-from .rational import determinant
 from .report import render_json, render_text
 from .surgery import AmbientData, surgery_characteristics
 
@@ -66,7 +65,7 @@ def _run_check(args) -> dict:
         "m": summary.m,
         "edges": summary.edge_count,
         "negative definite": True,
-        "determinant": determinant(intersection_matrix(graph)),
+        "determinant": summary.factors.determinant(),
         "h": summary.h,
         "chi of neighborhood": summary.chi_neighborhood,
         "cycle rank": summary.cycle_rank,
@@ -176,12 +175,16 @@ def _run_openbook(args) -> dict:
     return report
 
 
-def _family_member(s: int, t: int | None, N: int) -> dict:
+def _family_params(s: int, t: int | None, N: int) -> FamilyParams:
     if t is None:
         if s != 3:
             raise ValidationError("--t is required when s is not 3")
         t = default_t(N)
-    params = FamilyParams(s=s, t=t, N=N)
+    return FamilyParams(s=s, t=t, N=N)
+
+
+def _family_member(s: int, t: int | None, N: int) -> dict:
+    params = _family_params(s, t, N)
     graph = family_resolution_graph(params)
     invariants = milnor_fiber_invariants(graph, surface_mu(params))
     report = {
@@ -198,7 +201,7 @@ def _family_member(s: int, t: int | None, N: int) -> dict:
         "p_g": invariants.p_g,
         "b1": invariants.b1,
     }
-    if s == 3 and t == default_t(N) and (N - 1) % 3 != 0:
+    if s == 3 and params.t == default_t(N) and (N - 1) % 3 != 0:
         closed = closed_form_check(N)
         report["closed form mu"] = closed.mu
         report["closed form sigma"] = closed.sigma
@@ -244,29 +247,28 @@ def _run_surgery(args) -> dict:
     if have_family and (have_graph or have_mu):
         raise ValidationError("give either --N (family member) or -i with --mu, not both")
     if have_family:
-        t = args.t
-        if t is None:
-            if args.s != 3:
-                raise ValidationError("--t is required when s is not 3")
-            t = default_t(args.N)
-        params = FamilyParams(s=args.s, t=t, N=args.N)
+        params = _family_params(args.s, args.t, args.N)
         graph = family_resolution_graph(params)
-        mu = surface_mu(params)
+        invariants = milnor_fiber_invariants(graph, surface_mu(params))
     elif have_graph and have_mu:
         graph = _read_graph(args.input)
-        mu = args.mu
+        try:
+            invariants = milnor_fiber_invariants(graph, args.mu)
+        except ConsistencyError as exc:
+            # a computed mu can only disagree with its graph through a bug;
+            # a given one disagrees when the user paired the wrong numbers
+            raise ValidationError(
+                f"[surgery] --mu {args.mu} does not fit the graph: {exc}") from None
     else:
         raise ValidationError("surgery needs either --N or both -i and --mu")
-    invariants = milnor_fiber_invariants(graph, mu)
-    summary = validate(graph)
     result = surgery_characteristics(AmbientData(chi=args.chi, sigma=args.sigma),
                                      graph, invariants)
     return {
         "ambient chi": args.chi,
         "ambient sigma": args.sigma,
-        "m": summary.m,
-        "h": summary.h,
-        "chi of neighborhood": summary.chi_neighborhood,
+        "m": invariants.m,
+        "h": invariants.h,
+        "chi of neighborhood": result.chi_neighborhood,
         "mu": invariants.mu,
         "sigma of smoothing": invariants.sigma,
         "p_g": invariants.p_g,

@@ -23,9 +23,5 @@ class DimensionError(ValidationError):
     """Matrix or vector has the wrong shape for the requested operation."""
 
 
-class SingularMatrixError(ValidationError):
-    """A matrix that must be invertible is not."""
-
-
 class ConsistencyError(PlumbookError):
     """An internal cross-check failed; indicates a bug, not bad input."""

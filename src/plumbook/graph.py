@@ -21,11 +21,11 @@ edges sorted lexicographically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .rational import QMatrix, is_negative_definite
+from .rational import Elimination, QMatrix, eliminate
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -38,7 +38,12 @@ class Vertex:
 
 
 class PlumbingGraph:
-    """Immutable vertex-weighted graph with an unordered simple edge set."""
+    """Immutable vertex-weighted graph with an unordered simple edge set.
+
+    `adjacency` (neighbor indices per vertex, ascending) and `degrees` are
+    fixed at construction.  `validate` keeps its result, factorization
+    included, on the instance, so a graph is factored at most once.
+    """
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
         verts = []
@@ -72,6 +77,13 @@ class PlumbingGraph:
         self.vertices: tuple[Vertex, ...] = tuple(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         self._index = index
+        nbrs: list[list[int]] = [[] for _ in verts]
+        for i, j in self.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(n)) for n in nbrs)
+        self.degrees: tuple[int, ...] = tuple(len(n) for n in nbrs)
+        self._summary: GraphSummary | None = None
 
     @property
     def m(self) -> int:
@@ -86,19 +98,6 @@ class PlumbingGraph:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor indices per vertex, in ascending order."""
-        nbrs: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(n)) for n in nbrs)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(n) for n in self.adjacency)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PlumbingGraph)
@@ -120,7 +119,8 @@ class GraphSummary:
     2*sum(genus) plus one per independent cycle of the graph.
     chi_neighborhood is the Euler characteristic of a regular
     neighborhood of the configuration: sum(2 - 2*g_v) minus one per
-    intersection point.
+    intersection point.  factors is the elimination of the intersection
+    matrix, from which the determinant and every exact solve are read.
     """
     m: int
     edge_count: int
@@ -128,6 +128,7 @@ class GraphSummary:
     chi_neighborhood: int
     degrees: tuple[int, ...]
     cycle_rank: int
+    factors: Elimination = field(compare=False, repr=False)
 
     @property
     def is_cyclic(self) -> bool:
@@ -219,26 +220,35 @@ def intersection_matrix(graph: PlumbingGraph) -> QMatrix:
 def validate(graph: PlumbingGraph) -> GraphSummary:
     """Check connectivity and negative definiteness; return derived data.
 
-    The two failure modes are reported distinctly.  Euler numbers are not
+    The two failure modes are reported distinctly, a definiteness failure
+    with the vertex whose pivot is the first >= 0.  Euler numbers are not
     sign-checked on their own: a nonnegative e_v always surfaces as a
-    definiteness failure.
+    definiteness failure.  The summary is kept on the graph, so later
+    calls return it without factoring again.
     """
+    if graph._summary is not None:
+        return graph._summary
     if not _is_connected(graph):
         raise ValidationError("graph is disconnected")
-    if not is_negative_definite(intersection_matrix(graph)):
-        raise ValidationError("intersection matrix is not negative definite")
+    factors = eliminate(intersection_matrix(graph))
+    if not factors.negative_definite:
+        raise ValidationError(
+            "intersection matrix is not negative definite "
+            f"(pivot at vertex {graph.vertices[factors.stopped_at].id})")
     m = graph.m
     edge_count = len(graph.edges)
     cycle_rank = edge_count - m + 1
     total_genus = sum(v.genus for v in graph.vertices)
-    return GraphSummary(
+    graph._summary = GraphSummary(
         m=m,
         edge_count=edge_count,
         h=2 * total_genus + cycle_rank,
         chi_neighborhood=sum(2 - 2 * v.genus for v in graph.vertices) - edge_count,
         degrees=graph.degrees,
         cycle_rank=cycle_rank,
+        factors=factors,
     )
+    return graph._summary
 
 
 def _is_connected(graph: PlumbingGraph) -> bool:

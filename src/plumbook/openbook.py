@@ -34,8 +34,8 @@ from typing import Sequence
 
 from .divisor import binding_vector, minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
-from .graph import PlumbingGraph, intersection_matrix, serialize_graph, validate
-from .rational import lcm_of_denominators, solve
+from .graph import PlumbingGraph, serialize_graph, validate
+from .rational import lcm_of_denominators
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, .
 def solve_multiplicities(graph: PlumbingGraph,
                          binding: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact positive rational N with I.N = -n."""
-    validate(graph)
+    factors = validate(graph).factors
     entries = _check_binding(graph, binding)
-    result = solve(intersection_matrix(graph), [-n for n in entries])
+    result = factors.solve([-n for n in entries])
     if any(x <= 0 for x in result):
         raise ConsistencyError(
             "multiplicity solution has a nonpositive entry; "

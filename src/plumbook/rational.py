@@ -4,20 +4,32 @@ Rationals are `fractions.Fraction`, which keeps every value in canonical
 form (reduced, denominator > 0) over Python's unbounded ints, so overflow
 cannot occur and no rounding ever happens.
 
-Elimination strategy, used by `determinant`, `solve` and `inverse`: plain
-rational Gaussian elimination with partial pivoting on the entry of
-largest absolute value (ties break to the lowest row index).  With exact
-arithmetic pivoting is only needed to step over zeros; the magnitude rule
-just keeps the choice deterministic.
+Everything the package asks of an intersection matrix comes from one
+symmetric elimination, `eliminate`, which writes a symmetric m as
+L D L^T with L unit lower triangular and D diagonal.  Pivots are taken in
+row order with no pivoting: the k-th pivot is the quotient of the k-th
+and (k-1)-th leading minors, so
+
+    m is negative definite  <=>  every pivot is < 0,
+    det m                   =    the product of the pivots,
+
+and the first pivot >= 0 is where a matrix stops being negative definite;
+the elimination stops there.  A negative definite matrix has no zero
+leading minor, so it never needs a row exchange.  The same factors then
+solve m x = b by one forward and one back substitution, for as many
+right-hand sides as asked.  Only nonzero entries take part, so the
+arithmetic is set by the fill-in: O(m^3) Fraction operations in the worst
+case, and O(m) on a tree whose rows come leaf first, where no entry fills
+in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, SingularMatrixError, ValidationError
+from .errors import DimensionError, ValidationError
 
 Rational = Fraction
 
@@ -43,10 +55,6 @@ class QMatrix:
         self.cols = width
         self._entries = data
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -68,12 +76,6 @@ class QMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._entries)
         return f"QMatrix[{body}]"
 
-    def leading_minor(self, k: int) -> "QMatrix":
-        """Top-left k-by-k submatrix."""
-        if not 1 <= k <= min(self.rows, self.cols):
-            raise DimensionError(f"no leading {k}x{k} minor in a {self.rows}x{self.cols} matrix")
-        return QMatrix([row[:k] for row in self._entries[:k]])
-
     def mul_vector(self, v: Sequence) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise DimensionError(f"vector of length {len(v)} against {self.cols} columns")
@@ -81,109 +83,93 @@ class QMatrix:
         return tuple(sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
                      for row in self._entries)
 
-    def mul_matrix(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        return QMatrix([[sum((self._entries[i][k] * other._entries[k][j]
-                              for k in range(self.cols)), Fraction(0))
-                         for j in range(other.cols)]
-                        for i in range(self.rows)])
 
-    def __matmul__(self, other):
-        if isinstance(other, QMatrix):
-            return self.mul_matrix(other)
-        return self.mul_vector(other)
+class Elimination:
+    """L D L^T factors of a symmetric matrix, pivots in row order.
 
+    `pivots` holds the diagonal of D as far as the elimination got; when
+    it stopped early, `stopped_at` is the row of the first pivot >= 0,
+    which is then the last entry of `pivots`.  `determinant` and `solve`
+    need the complete, negative definite factorization.
+    """
 
-def determinant(m: QMatrix) -> Fraction:
-    """Exact determinant via forward elimination; 0 for singular input."""
-    if not m.is_square:
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        p = a[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / p
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+    __slots__ = ("size", "pivots", "stopped_at", "_columns")
 
+    def __init__(self, size: int, pivots: list[Fraction],
+                 columns: list[tuple[tuple[int, Fraction], ...]]):
+        self.size = size
+        self.pivots = tuple(pivots)
+        self.stopped_at = len(columns) if len(columns) < size else None
+        self._columns = tuple(columns)   # column k of L below the diagonal
 
-def _gauss_jordan(m: QMatrix, aug: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduce m to the identity, applying the same row operations to aug."""
-    n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = a[col][col]
-        if p != 1:
-            a[col] = [x / p for x in a[col]]
-            aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return aug
+    @property
+    def negative_definite(self) -> bool:
+        return self.stopped_at is None
+
+    def _require_complete(self) -> None:
+        if self.stopped_at is not None:
+            raise ValidationError(
+                f"matrix is not negative definite: pivot {self.stopped_at} "
+                f"is {self.pivots[-1]}")
+
+    def determinant(self) -> Fraction:
+        """Product of the pivots."""
+        self._require_complete()
+        return prod(self.pivots, start=Fraction(1))
+
+    def solve(self, b: Sequence) -> tuple[Fraction, ...]:
+        """Exact x with m x = b: L y = b, then D L^T x = y."""
+        self._require_complete()
+        if len(b) != self.size:
+            raise DimensionError(
+                f"right-hand side of length {len(b)} against {self.size} rows")
+        x = [Fraction(v) for v in b]
+        for k, column in enumerate(self._columns):
+            if x[k]:
+                for i, factor in column:
+                    x[i] -= factor * x[k]
+        for k, pivot in enumerate(self.pivots):
+            x[k] /= pivot
+        for k in reversed(range(self.size)):
+            for i, factor in self._columns[k]:
+                x[k] -= factor * x[i]
+        return tuple(x)
 
 
-def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...]:
-    """Exact solution x of m @ x = b."""
-    if not m.is_square:
-        raise DimensionError(f"solve needs a square matrix, got {m.rows}x{m.cols}")
-    if len(b) != m.rows:
-        raise DimensionError(f"right-hand side of length {len(b)} against {m.rows} rows")
-    aug = [[Fraction(x)] for x in b]
-    result = _gauss_jordan(m, aug)
-    return tuple(row[0] for row in result)
-
-
-def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse; m @ inverse(m) is the identity with no rounding."""
-    if not m.is_square:
-        raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    aug = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    return QMatrix(_gauss_jordan(m, aug))
-
-
-def is_negative_definite(m: QMatrix) -> bool:
-    """Sylvester test on -m: (-1)^k det(leading k-minor) > 0 for all k.
+def eliminate(m: QMatrix) -> Elimination:
+    """Symmetric elimination of m in row order, stopping at a pivot >= 0.
 
     Valid for symmetric matrices only, so asymmetric input is rejected
     outright rather than symmetrized.
     """
     if not m.is_square:
-        raise DimensionError(f"definiteness needs a square matrix, got {m.rows}x{m.cols}")
-    for i in range(m.rows):
-        for j in range(i + 1, m.cols):
+        raise DimensionError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    for i in range(n):
+        for j in range(i + 1, n):
             if m[i, j] != m[j, i]:
                 raise ValidationError(
-                    f"definiteness test requires a symmetric matrix; "
+                    f"elimination requires a symmetric matrix; "
                     f"entries ({i},{j}) and ({j},{i}) differ")
-    sign = 1
-    for k in range(1, m.rows + 1):
-        sign = -sign
-        if sign * determinant(m.leading_minor(k)) <= 0:
-            return False
-    return True
+    # upper[i] holds the nonzero entries (j, a_ij), j >= i, of what is left
+    # of row i after the rows before it were eliminated
+    upper = [{j: x for j, x in enumerate(m.row(i)[i:], start=i) if x} for i in range(n)]
+    pivots: list[Fraction] = []
+    columns: list[tuple[tuple[int, Fraction], ...]] = []
+    for k in range(n):
+        row = upper[k]
+        pivot = row.pop(k, Fraction(0))
+        pivots.append(pivot)
+        if pivot >= 0:
+            break
+        column = tuple((i, a / pivot) for i, a in row.items())
+        for i, factor in column:
+            target = upper[i]
+            for j, a in row.items():
+                if j >= i:
+                    target[j] = target.get(j, 0) - factor * a
+        columns.append(column)
+    return Elimination(n, pivots, columns)
 
 
 def lcm_of_denominators(v: Iterable) -> int:

@@ -51,6 +51,9 @@ _B1_NOTE = (
 
 @dataclass(frozen=True)
 class SurgeryReport:
+    """Characteristic numbers of the result; chi_neighborhood is the Euler
+    characteristic of the neighborhood that was cut out."""
+    chi_neighborhood: int
     chi: int
     sigma: int
     c1_squared: int
@@ -85,6 +88,7 @@ def surgery_characteristics(
     chi_h = Fraction(chi + sigma, 4)
     bmy_defect = 9 * chi_h - c1_squared
     return SurgeryReport(
+        chi_neighborhood=summary.chi_neighborhood,
         chi=chi,
         sigma=sigma,
         c1_squared=c1_squared,

@@ -74,6 +74,14 @@ class TestCheck:
         assert code == 1
         assert "not negative definite" in err
 
+    def test_indefinite_graph_names_the_vertex(self, capsys, tmp_path):
+        path = tmp_path / "ab.pg"
+        path.write_text("vertex A e=-1 g=0\nvertex B e=-1 g=0\n"
+                        "vertex C e=-5 g=0\nedge A B\nedge B C\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", "-i", str(path))
+        assert code == 1
+        assert "intersection matrix is not negative definite (pivot at vertex B)" in err
+
     def test_disconnected_graph(self, capsys, tmp_path):
         path = tmp_path / "disc.pg"
         path.write_text("vertex a e=-2 g=0\nvertex b e=-2 g=0\n",
@@ -227,11 +235,32 @@ class TestSurgery:
         assert "chi: 111\n" in out
         assert "sigma: -27\n" in out
 
-    def test_inconsistent_mu_is_exit_2(self, capsys, n3_file):
+    def test_inconsistent_mu_is_exit_1(self, capsys, n3_file):
         code, _, err = run(capsys, "surgery", "--chi", "1", "--sigma", "0",
                            "-i", n3_file, "--mu", "9866")
-        assert code == 2
-        assert "error:" in err
+        assert code == 1
+        assert "error: [surgery]" in err
+
+    def test_readme_example_mu_fits_only_when_consistent(self, capsys, n3_file):
+        code, _, err = run(capsys, "surgery", "--chi", "100", "--sigma", "-20",
+                           "-i", n3_file, "--mu", "10")
+        assert code == 1
+        assert "[surgery] --mu 10 does not fit the graph" in err
+        assert "not divisible by 12" in err
+        code, out, _ = run(capsys, "surgery", "--chi", "100", "--sigma", "-20",
+                           "-i", n3_file, "--mu", "13")
+        assert code == 0
+        assert "p_g: 398\n" in out
+
+    def test_non_integral_k_squared_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "a.pg"
+        path.write_text("vertex A e=-3 g=0\n", encoding="utf-8")
+        code, out, err = run(capsys, "surgery", "--chi", "100", "--sigma", "-20",
+                             "-i", str(path), "--mu", "10")
+        assert code == 1
+        assert out == ""
+        assert "[surgery]" in err
+        assert "K^2 = -1/3 is not an integer" in err
 
     def test_mode_conflicts(self, capsys, n3_file):
         code, _, err = run(capsys, "surgery", "--chi", "0", "--sigma", "0",

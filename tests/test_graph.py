@@ -179,6 +179,21 @@ class TestValidate:
         with pytest.raises(ValidationError, match="not negative definite"):
             validate(graph)
 
+    def test_rejection_names_the_first_vertex_with_pivot_at_least_zero(self):
+        # pivots -1, -1, 0: the leading minors of a and a-b are fine
+        graph = PlumbingGraph([("a", -1, 0), ("b", -2, 0), ("c", -1, 0)],
+                              [("a", "b"), ("b", "c")])
+        with pytest.raises(ValidationError, match=r"\(pivot at vertex c\)"):
+            validate(graph)
+        graph = PlumbingGraph([("a", 0, 0)])
+        with pytest.raises(ValidationError, match=r"\(pivot at vertex a\)"):
+            validate(graph)
+
+    def test_summary_and_adjacency_are_kept_on_the_graph(self, fixed_corpus):
+        graph = fixed_corpus["d4"]
+        assert validate(graph) is validate(graph)
+        assert graph.adjacency is graph.adjacency
+
     def test_n5_summary(self, fixed_corpus):
         summary = validate(fixed_corpus["family_n5"])
         assert summary.h == 354
