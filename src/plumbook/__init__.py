@@ -25,7 +25,7 @@ from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
                        equivalence_certificate, solve_multiplicities,
                        verify_gluing)
 from .rational import (Elimination, QMatrix, Rational, eliminate,
-                       lcm_of_denominators, qvector)
+                       eliminate_upper, lcm_of_denominators, qvector)
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
 
@@ -64,6 +64,7 @@ __all__ = [
     "closed_form_check",
     "default_t",
     "eliminate",
+    "eliminate_upper",
     "equivalence_certificate",
     "family_resolution_graph",
     "intersection_matrix",

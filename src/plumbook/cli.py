@@ -29,8 +29,7 @@ from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
 from .graph import PlumbingGraph, parse_graph, validate
-from .openbook import (OpenBookDescription, build_open_book,
-                       equivalence_certificate, verify_gluing)
+from .openbook import OpenBookDescription, build_open_book, equivalence_certificate
 from .report import render_json, render_text
 from .surgery import AmbientData, surgery_characteristics
 
@@ -99,7 +98,6 @@ def _run_divisor(args) -> dict:
 
 
 def _describe_open_book(description: OpenBookDescription) -> dict:
-    check = verify_gluing(description)
     curves = [
         {
             "u": curve.u,
@@ -120,7 +118,7 @@ def _describe_open_book(description: OpenBookDescription) -> dict:
         "page euler": description.page_euler,
         "page euler note": _PAGE_EULER_NOTE,
         "boundary components": description.boundary_components,
-        "gluing verified": check.ok,
+        "gluing verified": description.gluing.ok,
     }
 
 

@@ -5,19 +5,22 @@ open book on the boundary of the plumbing when
 
     (D + E + K) . E_i + 2 <= 0            for every vertex i,      (a)
 
-where E = sum(E_i) and K is the canonical cycle.  Written in graph data
-the left side is (I.d)_i + (I.1)_i + (2g_i - 2 - e_i) + 2.  The binding
-vector is n = -I.d; strict positivity n_i >= 1 is enforced as the extra
-row condition
+where E = sum(E_i) and K is the canonical cycle.  As E.E_i = e_i + deg_i
+and K.E_i = 2g_i - 2 - e_i, the left side is the slack (I.d)_i + deg_i +
+2g_i, so K itself is not needed.  The binding vector n = -I.d must also
+be positive, the extra row condition
 
     (I.d)_i <= -1                         for every vertex i.      (b)
 
-Both are threshold conditions (I.d)_i <= c_i with c_i independent of d,
-and -I is an M-matrix, so the pointwise-minimal solution with d >= 1
-exists and is found by the classical monotone iteration for fundamental
-cycles: raise d_i by one at the first vertex whose row is violated,
-repeat.  No overshoot is possible, which is what makes the result the
-pointwise minimum of the whole feasible set.
+So d is feasible iff I.d <= c, c_i = min(-(deg_i + 2g_i), -1).  -I is a
+Stieltjes matrix, so (-I)^{-1} >= 0 and -I.d >= -c gives d >= I^{-1}c:
+every feasible d lies above d0 = max(1, ceil(I^{-1}c)), one substitution
+with the kept factors.  From d0 the search raises a violated row i by the
+jump ceil(((I.d)_i - c_i) / |e_i|), Laufer's fundamental-cycle iteration.
+While d lies below every feasible d', raising the other coordinates only
+adds to row i, so d'_i >= d_i + jump: no jump overshoots, and the first
+feasible d reached is the pointwise minimum.  A jump updates row i and
+its neighbours' rows only, O(deg_i).
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .canonical import CanonicalCycle, canonical_cycle
 from .errors import ConsistencyError, ValidationError
 from .graph import PlumbingGraph, validate
-
-_MAX_SEARCH_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,7 @@ def _check_divisor(graph: PlumbingGraph, divisor: Sequence[int]) -> None:
         raise ValidationError("divisor entries must be integers")
 
 
-def openbook_condition(graph: PlumbingGraph,
-                       divisor: Sequence[int],
-                       cycle: CanonicalCycle | None = None) -> ConditionReport:
+def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> ConditionReport:
     """Evaluate condition (a) for an effective nonzero divisor."""
     validate(graph)
     _check_divisor(graph, divisor)
@@ -82,47 +80,42 @@ def openbook_condition(graph: PlumbingGraph,
         raise ValidationError("divisor must be effective (no negative entries)")
     if all(d == 0 for d in divisor):
         raise ValidationError("divisor must be nonzero")
-    if cycle is None:
-        cycle = canonical_cycle(graph)
     d_row = _intersection_with(graph, list(divisor))
-    e_row = _intersection_with(graph, [1] * graph.m)
-    slacks = tuple(dr + er + rhs + 2
-                   for dr, er, rhs in zip(d_row, e_row, cycle.adjunction_rhs))
+    slacks = tuple(dr + deg + 2 * v.genus
+                   for dr, deg, v in zip(d_row, graph.degrees, graph.vertices))
     return ConditionReport(holds=all(s <= 0 for s in slacks), slacks=slacks)
 
 
-def minimal_openbook_divisor(graph: PlumbingGraph,
-                             cycle: CanonicalCycle | None = None) -> MinimalDivisor:
+def minimal_openbook_divisor(graph: PlumbingGraph) -> MinimalDivisor:
     """Pointwise-minimal d >= 1 satisfying conditions (a) and (b).
 
-    Monotone iteration from d = (1, ..., 1); ties break to the first
-    violated vertex in declaration order.  Feasibility is guaranteed:
-    raising d_i strictly lowers row i (e_i < 0 on a negative-definite
-    graph) and leaves no row permanently stuck.
+    Starts at max(1, ceil(I^{-1}c)) and raises violated rows, taken from a
+    worklist, by exact jumps until none is left; see the module docstring
+    for why this ends exactly at the minimum.
     """
-    validate(graph)
-    if cycle is None:
-        cycle = canonical_cycle(graph)
-    e_row = _intersection_with(graph, [1] * graph.m)
-    thresholds = [min(-(er + rhs + 2), -1)
-                  for er, rhs in zip(e_row, cycle.adjunction_rhs)]
-    d = [1] * graph.m
-    for _ in range(_MAX_SEARCH_STEPS):
-        row = _intersection_with(graph, d)
-        for i in range(graph.m):
-            if row[i] > thresholds[i]:
-                d[i] += 1
-                break
-        else:
-            binding = tuple(-x for x in row)
-            return MinimalDivisor(divisor=tuple(d), binding=binding)
-    raise ConsistencyError("divisor search did not terminate")
+    thresholds = [min(-(deg + 2 * v.genus), -1)
+                  for v, deg in zip(graph.vertices, graph.degrees)]
+    lower = validate(graph).factors.solve(thresholds)
+    d = [max(1, -(-x.numerator // x.denominator)) for x in lower]
+    row = _intersection_with(graph, d)
+    abs_e = [-v.euler for v in graph.vertices]
+    queued = [r > c for r, c in zip(row, thresholds)]
+    pending = [i for i, q in enumerate(queued) if q]
+    while pending:
+        i = pending.pop()
+        queued[i] = False
+        jump = -((thresholds[i] - row[i]) // abs_e[i])
+        d[i] += jump
+        row[i] -= abs_e[i] * jump
+        for j in graph.adjacency[i]:
+            row[j] += jump
+            if not queued[j] and row[j] > thresholds[j]:
+                queued[j] = True
+                pending.append(j)
+    return MinimalDivisor(divisor=tuple(d), binding=tuple(-x for x in row))
 
 
-def scale_divisor(graph: PlumbingGraph,
-                  divisor: Sequence[int],
-                  k: int,
-                  cycle: CanonicalCycle | None = None) -> tuple[int, ...]:
+def scale_divisor(graph: PlumbingGraph, divisor: Sequence[int], k: int) -> tuple[int, ...]:
     """k-fold multiple of a divisor already satisfying condition (a).
 
     The multiple satisfies the condition again for every positive k; the
@@ -131,13 +124,10 @@ def scale_divisor(graph: PlumbingGraph,
     """
     if k < 1 or int(k) != k:
         raise ValidationError(f"scale factor must be a positive integer, got {k!r}")
-    if cycle is None:
-        cycle = canonical_cycle(graph)
-    before = openbook_condition(graph, divisor, cycle)
-    if not before.holds:
+    if not openbook_condition(graph, divisor).holds:
         raise ValidationError("divisor does not satisfy the open-book condition")
     scaled = tuple(k * d for d in divisor)
-    after = openbook_condition(graph, scaled, cycle)
+    after = openbook_condition(graph, scaled)
     if not after.holds:
         raise ConsistencyError(
             f"scaling by {k} broke the open-book condition (slacks {after.slacks})")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .rational import Elimination, QMatrix, eliminate
+from .rational import Elimination, QMatrix, eliminate_upper
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -230,7 +230,10 @@ def validate(graph: PlumbingGraph) -> GraphSummary:
         return graph._summary
     if not _is_connected(graph):
         raise ValidationError("graph is disconnected")
-    factors = eliminate(intersection_matrix(graph))
+    upper = [{i: v.euler} for i, v in enumerate(graph.vertices)]
+    for i, j in graph.edges:
+        upper[i][j] = 1
+    factors = eliminate_upper(upper)
     if not factors.negative_definite:
         raise ValidationError(
             "intersection matrix is not negative definite "

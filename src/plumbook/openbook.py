@@ -27,7 +27,7 @@ at every vertex.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -49,6 +49,15 @@ class EdgeCurve:
 
 
 @dataclass(frozen=True)
+class GluingCheck:
+    ok: bool
+    failures: tuple[str, ...]
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
 class OpenBookDescription:
     graph: PlumbingGraph
     scale: int
@@ -59,15 +68,7 @@ class OpenBookDescription:
     edge_curves: tuple[EdgeCurve, ...]
     page_euler: int
     boundary_components: int
-
-
-@dataclass(frozen=True)
-class GluingCheck:
-    ok: bool
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
+    gluing: GluingCheck | None = field(default=None, compare=False)  # made at assembly
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _assemble(graph: PlumbingGraph,
     if not check.ok:
         raise ConsistencyError("constructed description failed its own gluing check: "
                                + "; ".join(check.failures))
-    return description
+    return replace(description, gluing=check)
 
 
 def verify_gluing(description: OpenBookDescription) -> GluingCheck:

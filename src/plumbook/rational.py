@@ -5,8 +5,8 @@ form (reduced, denominator > 0) over Python's unbounded ints, so overflow
 cannot occur and no rounding ever happens.
 
 Everything the package asks of an intersection matrix comes from one
-symmetric elimination, `eliminate`, which writes a symmetric m as
-L D L^T with L unit lower triangular and D diagonal.  Pivots are taken in
+symmetric elimination, `eliminate_upper` (fed a `QMatrix` by `eliminate`),
+which writes a symmetric m as L D L^T, L unit lower triangular, D diagonal.  Pivots are taken in
 row order with no pivoting: the k-th pivot is the quotient of the k-th
 and (k-1)-th leading minors, so
 
@@ -151,14 +151,21 @@ def eliminate(m: QMatrix) -> Elimination:
                 raise ValidationError(
                     f"elimination requires a symmetric matrix; "
                     f"entries ({i},{j}) and ({j},{i}) differ")
-    # upper[i] holds the nonzero entries (j, a_ij), j >= i, of what is left
-    # of row i after the rows before it were eliminated
-    upper = [{j: x for j, x in enumerate(m.row(i)[i:], start=i) if x} for i in range(n)]
+    return eliminate_upper(
+        [{j: x for j, x in enumerate(m.row(i)[i:], start=i) if x} for i in range(n)])
+
+
+def eliminate_upper(upper: list[dict[int, Fraction | int]]) -> Elimination:
+    """Symmetric elimination from the nonzero a_ij, j >= i, as upper[i][j].
+
+    The dicts are consumed: upper[i] ends as what was left of row i.
+    """
+    n = len(upper)
     pivots: list[Fraction] = []
     columns: list[tuple[tuple[int, Fraction], ...]] = []
     for k in range(n):
         row = upper[k]
-        pivot = row.pop(k, Fraction(0))
+        pivot = Fraction(row.pop(k, 0))
         pivots.append(pivot)
         if pivot >= 0:
             break

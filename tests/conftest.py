@@ -51,6 +51,21 @@ def is_feasible(graph: PlumbingGraph, divisor) -> bool:
     return all(r <= c for r, c in zip(rows, feasibility_thresholds(graph)))
 
 
+def unit_step_minimum(graph: PlumbingGraph) -> tuple[int, ...]:
+    """Least feasible divisor by the textbook iteration: start at (1, ..., 1)
+    and add 1 at the first violated row, every row summed again over the
+    edge list.  It makes sum(d_i - 1) raises, so keep divisors small.
+    """
+    thresholds = feasibility_thresholds(graph)
+    d = [1] * graph.m
+    while True:
+        rows = intersection_rows(graph, d)
+        violated = [i for i, (r, c) in enumerate(zip(rows, thresholds)) if r > c]
+        if not violated:
+            return tuple(d)
+        d[violated[0]] += 1
+
+
 def small_box_minimum(graph: PlumbingGraph, box: int) -> tuple[int, ...]:
     """Pointwise minimum of the feasible set inside [1, box]^m, by enumeration.
 

@@ -10,6 +10,8 @@ import pytest
 import plumbook
 from plumbook.cli import build_parser, main
 
+from .conftest import is_feasible
+
 N3_TEXT = """\
 vertex a e=-3 g=1
 vertex b e=-1 g=28
@@ -271,6 +273,37 @@ class TestSurgery:
         code, _, err = run(capsys, "surgery", "--chi", "0", "--sigma", "0",
                            "-i", n3_file)
         assert code == 1
+
+
+class TestDivisorSearch:
+    def test_huge_genus_vertex_is_exit_0(self, capsys, tmp_path):
+        # the least divisor lies 11,999,999 unit raises above (1); a search
+        # capped at 10^7 steps ended here in exit 2
+        path = tmp_path / "a.pg"
+        path.write_text("vertex A e=-1 g=6000000\n", encoding="utf-8")
+        code, out, err = run(capsys, "divisor", "-i", str(path))
+        assert code == 0
+        assert err == ""
+        assert "divisor: (12000000)\n" in out
+        assert "binding: (12000000)\n" in out
+
+    def test_long_minus_two_chain_is_feasible_and_minimal(self, capsys, tmp_path):
+        m = 500
+        weights = [-2] * (m - 1) + [-3]
+        text = "".join(f"vertex c{i} e={e} g=0\n" for i, e in enumerate(weights))
+        text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
+        path = tmp_path / "chain.pg"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "divisor", "-i", str(path), "--json")
+        assert code == 0
+        divisor = json.loads(out)["divisor"]
+        graph = plumbook.parse_graph(text)
+        assert is_feasible(graph, divisor)
+        for i in range(m):
+            if divisor[i] > 1:
+                lowered = divisor.copy()
+                lowered[i] -= 1
+                assert not is_feasible(graph, lowered), i
 
 
 class TestUsageErrors:

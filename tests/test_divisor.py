@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbook import (ConsistencyError, PlumbingGraph, ValidationError,
-                      binding_vector, canonical_cycle,
-                      minimal_openbook_divisor, openbook_condition,
-                      scale_divisor)
+                      binding_vector, minimal_openbook_divisor,
+                      openbook_condition, scale_divisor)
 
-from .conftest import is_feasible, intersection_rows, small_box_minimum
+from .conftest import (is_feasible, intersection_rows, small_box_minimum,
+                       unit_step_minimum)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 # (corpus name, minimal divisor, its binding); the small graphs are
 # re-derived below by enumeration, the two family graphs by solving the
@@ -80,11 +84,6 @@ class TestOpenbookCondition:
                 for i in range(graph.m))
             assert report.slacks == simplified
 
-    def test_accepts_precomputed_cycle(self, fixed_corpus):
-        graph = fixed_corpus["family_n3"]
-        cycle = canonical_cycle(graph)
-        assert openbook_condition(graph, (30, 87), cycle).holds
-
 
 class TestMinimalDivisor:
     def test_pinned_values(self, fixed_corpus):
@@ -125,6 +124,46 @@ class TestMinimalDivisor:
         graph = PlumbingGraph([("a", 0, 0)])
         with pytest.raises(ValidationError):
             minimal_openbook_divisor(graph)
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """Connected graphs on m <= 40 vertices, a random tree plus up to eight
+    edges, with e_v = -deg_v - s_v, s_v >= 0 and s_0 >= 1: negative
+    definite, and near the singular Laplacian where most s_v are 0."""
+    m = draw(st.integers(1, 40))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, m)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+                          .filter(lambda p: p[0] < p[1]), max_size=8))
+    degree = [sum(v in p for p in pairs) for v in range(m)]
+    slack = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    slack[0] = max(slack[0], 1)
+    vertices = [(f"v{i}", -degree[i] - slack[i], draw(st.integers(0, 2)))
+                for i in range(m)]
+    return PlumbingGraph(vertices, [(f"v{i}", f"v{j}") for i, j in sorted(pairs)])
+
+
+@st.composite
+def chains_with_long_runs(draw):
+    """Chains of m <= 40 vertices, all -2 except at up to three places,
+    which get e in [-6, -3] and genus in [0, 2]."""
+    m = draw(st.integers(1, 40))
+    other = draw(st.sets(st.integers(0, m - 1), max_size=3))
+    vertices = [(f"c{i}", -draw(st.integers(3, 6)), draw(st.integers(0, 2)))
+                if i in other else (f"c{i}", -2, 0) for i in range(m)]
+    return PlumbingGraph(vertices, [(f"c{i}", f"c{i + 1}") for i in range(m - 1)])
+
+
+class TestAgainstUnitSteps:
+    @PROPERTY
+    @given(cyclic_graphs())
+    def test_cyclic_graphs(self, graph):
+        assert minimal_openbook_divisor(graph).divisor == unit_step_minimum(graph)
+
+    @PROPERTY
+    @given(chains_with_long_runs())
+    def test_chains_with_long_minus_two_runs(self, graph):
+        assert minimal_openbook_divisor(graph).divisor == unit_step_minimum(graph)
 
 
 class TestScaleDivisor:

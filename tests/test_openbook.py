@@ -5,9 +5,12 @@ from math import lcm
 
 import pytest
 
+import plumbook.cli
+import plumbook.openbook
 from plumbook import (ValidationError, build_open_book,
                       equivalence_certificate, minimal_openbook_divisor,
                       serialize_graph, solve_multiplicities, verify_gluing)
+from plumbook.cli import main
 
 from .conftest import intersection_rows
 
@@ -168,3 +171,37 @@ class TestEquivalenceCertificate:
                     == certificate.configuration_side.binding)
             assert verify_gluing(certificate.milnor_side).ok
             assert verify_gluing(certificate.configuration_side).ok
+
+
+@pytest.fixture
+def gluing_checks(monkeypatch):
+    calls = []
+
+    def counting(description):
+        calls.append(description.multiplicities)
+        return verify_gluing(description)
+
+    for module in (plumbook.openbook, plumbook.cli):
+        if hasattr(module, "verify_gluing"):
+            monkeypatch.setattr(module, "verify_gluing", counting)
+    return calls
+
+
+# --n assembles one book; the certificate assembles the configuration and
+# the smoothing side; a --k other than the least scale rebuilds the
+# configuration side once more.  The report reuses the check made at
+# assembly instead of running its own.
+@pytest.mark.parametrize("args, books", [
+    (["--n", "A=3,B=57"], [(30, 87)]),
+    ([], [(30, 87), (30, 87)]),
+    (["--k", "2"], [(30, 87), (30, 87), (60, 174)]),
+])
+@pytest.mark.parametrize("json", [False, True])
+def test_openbook_checks_each_assembled_description_once(args, books, json, gluing_checks,
+                                                          tmp_path, capsys):
+    path = tmp_path / "n3.pg"
+    path.write_text("vertex A e=-3 g=1\nvertex B e=-1 g=28\nedge A B\n", encoding="utf-8")
+    assert main(["openbook", "-i", str(path), *args] + (["--json"] if json else [])) == 0
+    assert gluing_checks == books
+    out = capsys.readouterr().out
+    assert ('"gluing verified": true' if json else "gluing verified: yes\n") in out
