@@ -18,14 +18,13 @@ from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      brieskorn_mu, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, specialized, surface_mu)
-from .graph import (GraphSummary, PlumbingGraph, Vertex, intersection_matrix,
-                    parse_graph, serialize_graph, validate)
+from .graph import (GraphSummary, PlumbingGraph, Vertex, parse_graph,
+                    serialize_graph, validate)
 from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
                        OpenBookDescription, build_open_book,
                        equivalence_certificate, solve_multiplicities,
                        verify_gluing)
-from .rational import (Elimination, QMatrix, Rational, eliminate,
-                       eliminate_upper, lcm_of_denominators, qvector)
+from .rational import Elimination, eliminate_upper, lcm_of_denominators
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
 
@@ -49,8 +48,6 @@ __all__ = [
     "ParseError",
     "PlumbingGraph",
     "PlumbookError",
-    "QMatrix",
-    "Rational",
     "SmoothingInvariants",
     "SurgeryReport",
     "ValidationError",
@@ -63,18 +60,15 @@ __all__ = [
     "canonical_cycle",
     "closed_form_check",
     "default_t",
-    "eliminate",
     "eliminate_upper",
     "equivalence_certificate",
     "family_resolution_graph",
-    "intersection_matrix",
     "lcm_of_denominators",
     "milnor_fiber_invariants",
     "minimal_openbook_divisor",
     "openbook_condition",
     "parse_graph",
     "plane_curve_mu",
-    "qvector",
     "rational_str",
     "render_json",
     "render_text",

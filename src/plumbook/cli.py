@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .canonical import canonical_cycle
 from .divisor import minimal_openbook_divisor, openbook_condition
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ParseError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
@@ -49,10 +49,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph(path: str) -> PlumbingGraph:
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: byte 0x{data[exc.start]:02x} "
+                         f"at offset {exc.start}",
+                         data.count(b"\n", 0, exc.start) + 1) from None
     return parse_graph(text)
 
 
@@ -167,7 +173,8 @@ def _run_openbook(args) -> dict:
         "binding": certificate.binding,
         "k": certificate.scale,
         "configuration binding counts": certificate.configuration_side.binding_counts,
-        "smoothing binding counts": certificate.milnor_side.binding_counts,
+        "smoothing binding counts": tuple(certificate.scale * n
+                                          for n in certificate.binding),
         "verdict": certificate.verdict,
     }
     return report

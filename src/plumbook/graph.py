@@ -21,11 +21,12 @@ edges sorted lexicographically.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .rational import Elimination, QMatrix, eliminate_upper
+from .rational import Elimination, eliminate_upper
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -76,7 +77,6 @@ class PlumbingGraph:
             pairs.add((i, j))
         self.vertices: tuple[Vertex, ...] = tuple(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
-        self._index = index
         nbrs: list[list[int]] = [[] for _ in verts]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -88,12 +88,6 @@ class PlumbingGraph:
     @property
     def m(self) -> int:
         return len(self.vertices)
-
-    def index_of(self, vertex_id: str) -> int:
-        try:
-            return self._index[vertex_id]
-        except KeyError:
-            raise ValidationError(f"no vertex with id {vertex_id!r}") from None
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -129,10 +123,6 @@ class GraphSummary:
     degrees: tuple[int, ...]
     cycle_rank: int
     factors: Elimination = field(compare=False, repr=False)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.cycle_rank > 0
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -188,12 +178,20 @@ def parse_graph(text: str) -> PlumbingGraph:
 
 def _keyed_int(field: str, key: str, lineno: int) -> int:
     prefix = key + "="
+    shown = field if len(field) <= 20 else field[:20] + "..."
     if not field.startswith(prefix):
-        raise ParseError(f"expected '{prefix}<int>', got {field!r}", lineno)
+        raise ParseError(f"expected '{prefix}<int>', got {shown!r}", lineno)
+    text = field[len(prefix):]
     try:
-        return int(field[len(prefix):])
+        return int(text)
     except ValueError:
-        raise ParseError(f"expected '{prefix}<int>', got {field!r}", lineno) from None
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise ParseError(f"'{prefix}' has {len(digits)} digits, more than the "
+                             f"interpreter's limit of {limit}; got {shown!r}", lineno) from None
+        raise ParseError(f"expected '{prefix}<int>', got {shown!r}", lineno) from None
 
 
 def serialize_graph(graph: PlumbingGraph) -> str:
@@ -203,18 +201,6 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     pairs = sorted(tuple(sorted((names[i], names[j]))) for i, j in graph.edges)
     lines.extend(f"edge {u} {w}" for u, w in pairs)
     return "\n".join(lines) + "\n"
-
-
-def intersection_matrix(graph: PlumbingGraph) -> QMatrix:
-    """Symmetric matrix with Euler numbers on the diagonal and a 1 per edge."""
-    n = graph.m
-    rows = [[0] * n for _ in range(n)]
-    for i, v in enumerate(graph.vertices):
-        rows[i][i] = v.euler
-    for i, j in graph.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return QMatrix(rows)
 
 
 def validate(graph: PlumbingGraph) -> GraphSummary:

@@ -73,18 +73,20 @@ class OpenBookDescription:
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """Matching positive bindings on the two open books over one graph.
+    """Round-trip consistency record for the open book of the minimal divisor.
 
-    The configuration side comes from the multiplicity solution for the
-    binding vector of the minimal divisor; the smoothing side reuses the
-    divisor coefficients themselves as multiplicities.  Equal positive
-    binding vectors on both sides is the recorded equivalence criterion.
+    The open book is assembled once, from the multiplicities N that solve
+    I.N = -n for the binding n = -I.d of the minimal divisor d.  As I is
+    invertible the solve must give back N = d, so k = 1, and the verdict
+    records that multiplicities == k.d.  This is not an independent proof
+    that two open books are equivalent: the smoothing side is the same
+    book.  A failed round trip raises ConsistencyError, in the binding
+    check or the gluing check at assembly, before any certificate exists.
     """
     graph_hash: str
     divisor: tuple[int, ...]
     binding: tuple[int, ...]
     scale: int
-    milnor_side: OpenBookDescription
     configuration_side: OpenBookDescription
     verdict: bool
 
@@ -133,14 +135,6 @@ def build_open_book(graph: PlumbingGraph,
                 f"scale {scale} is not a multiple of the minimal scale {minimal_scale}")
     multiplicities = tuple(int(scale * x) for x in rational_n)
     binding_counts = tuple(scale * n for n in entries)
-    return _assemble(graph, entries, scale, multiplicities, binding_counts)
-
-
-def _assemble(graph: PlumbingGraph,
-              binding: tuple[int, ...],
-              scale: int,
-              multiplicities: tuple[int, ...],
-              binding_counts: tuple[int, ...]) -> OpenBookDescription:
     names = graph.ids
     degrees = graph.degrees
     outer_slopes = tuple((-v.euler * m, m)
@@ -160,7 +154,7 @@ def _assemble(graph: PlumbingGraph,
     description = OpenBookDescription(
         graph=graph,
         scale=scale,
-        binding=binding,
+        binding=entries,
         multiplicities=multiplicities,
         binding_counts=binding_counts,
         outer_slopes=outer_slopes,
@@ -208,30 +202,19 @@ def verify_gluing(description: OpenBookDescription) -> GluingCheck:
 
 
 def equivalence_certificate(graph: PlumbingGraph) -> EquivalenceCertificate:
-    """Build both open books over the minimal divisor and compare bindings."""
-    validate(graph)
+    """Assemble the open book of the minimal divisor and record the round trip."""
     found = minimal_openbook_divisor(graph)
-    configuration = build_open_book(graph, found.binding)
-    k = configuration.scale
-    # the divisor coefficients solve the same system as N, so the
-    # smoothing-side book reuses them directly, scaled identically
-    milnor = _assemble(graph,
-                       found.binding,
-                       k,
-                       tuple(k * d for d in found.divisor),
-                       tuple(k * n for n in found.binding))
-    verdict = (configuration.binding_counts == milnor.binding_counts
-               and all(b >= 1 for b in configuration.binding_counts))
-    digest = hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest()
     # sanity: n really is -I.d for the reported divisor
     if binding_vector(graph, found.divisor) != found.binding:
         raise ConsistencyError("minimal divisor and binding vector disagree")
+    configuration = build_open_book(graph, found.binding)
+    k = configuration.scale
+    digest = hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest()
     return EquivalenceCertificate(
         graph_hash=digest,
         divisor=found.divisor,
         binding=found.binding,
         scale=k,
-        milnor_side=milnor,
         configuration_side=configuration,
-        verdict=verdict,
+        verdict=configuration.multiplicities == tuple(k * d for d in found.divisor),
     )

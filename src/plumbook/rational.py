@@ -5,9 +5,10 @@ form (reduced, denominator > 0) over Python's unbounded ints, so overflow
 cannot occur and no rounding ever happens.
 
 Everything the package asks of an intersection matrix comes from one
-symmetric elimination, `eliminate_upper` (fed a `QMatrix` by `eliminate`),
-which writes a symmetric m as L D L^T, L unit lower triangular, D diagonal.  Pivots are taken in
-row order with no pivoting: the k-th pivot is the quotient of the k-th
+symmetric elimination, `eliminate_upper`, which reads the nonzero entries
+on and above the diagonal of a symmetric m, row by row, and writes m as
+L D L^T, L unit lower triangular, D diagonal.  Pivots are taken in row
+order with no pivoting: the k-th pivot is the quotient of the k-th
 and (k-1)-th leading minors, so
 
     m is negative definite  <=>  every pivot is < 0,
@@ -30,58 +31,6 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ValidationError
-
-Rational = Fraction
-
-
-def qvector(entries: Iterable) -> tuple[Fraction, ...]:
-    """Coerce a sequence of numbers into a tuple of exact rationals."""
-    return tuple(Fraction(x) for x in entries)
-
-
-class QMatrix:
-    """Immutable matrix of exact rationals, stored row-major."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise DimensionError("all matrix rows must have equal length")
-        self.rows = len(data)
-        self.cols = width
-        self._entries = data
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._entries[i]
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self._entries[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QMatrix) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._entries)
-        return f"QMatrix[{body}]"
-
-    def mul_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise DimensionError(f"vector of length {len(v)} against {self.cols} columns")
-        vec = qvector(v)
-        return tuple(sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
-                     for row in self._entries)
 
 
 class Elimination:
@@ -134,25 +83,6 @@ class Elimination:
             for i, factor in self._columns[k]:
                 x[k] -= factor * x[i]
         return tuple(x)
-
-
-def eliminate(m: QMatrix) -> Elimination:
-    """Symmetric elimination of m in row order, stopping at a pivot >= 0.
-
-    Valid for symmetric matrices only, so asymmetric input is rejected
-    outright rather than symmetrized.
-    """
-    if not m.is_square:
-        raise DimensionError(f"elimination needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] != m[j, i]:
-                raise ValidationError(
-                    f"elimination requires a symmetric matrix; "
-                    f"entries ({i},{j}) and ({j},{i}) differ")
-    return eliminate_upper(
-        [{j: x for j, x in enumerate(m.row(i)[i:], start=i) if x} for i in range(n)])
 
 
 def eliminate_upper(upper: list[dict[int, Fraction | int]]) -> Elimination:

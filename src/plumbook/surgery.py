@@ -34,7 +34,6 @@ class AmbientData:
     """
     chi: int
     sigma: int
-    description: str = ""
 
     def __post_init__(self):
         for field in ("chi", "sigma"):

@@ -165,13 +165,19 @@ def test_criterion_7_exact_anchors(capsys, fixed_corpus):
 
 def test_criterion_8_equivalence_certificates(capsys, fixed_corpus,
                                               random_corpus):
-    with criterion(capsys, "certificate verdicts true with equal positive "
-                           "bindings over the whole corpus"):
+    with criterion(capsys, "certificate round trip: -I.d = binding >= 1 and "
+                           "multiplicities = k.d with k = 1 over the whole corpus"):
         graphs = list(fixed_corpus.values())
         graphs.extend(graph for graph, _, _ in random_corpus)
         for graph in graphs:
             certificate = equivalence_certificate(graph)
+            book = certificate.configuration_side
+            binding = [-r for r in intersection_rows(graph, certificate.divisor)]
+            assert tuple(binding) == certificate.binding
+            assert min(binding) >= 1
+            k = certificate.scale
+            assert book.multiplicities == tuple(k * d for d in certificate.divisor)
+            assert k == 1
+            assert intersection_rows(graph, book.multiplicities) == [
+                -b for b in book.binding_counts]
             assert certificate.verdict
-            assert (certificate.configuration_side.binding_counts
-                    == certificate.milnor_side.binding_counts)
-            assert all(b >= 1 for b in certificate.configuration_side.binding_counts)

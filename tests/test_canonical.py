@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from plumbook import (PlumbingGraph, ValidationError, adjunction_rhs,
-                      canonical_cycle, intersection_matrix, qvector)
+                      canonical_cycle)
 
 from .conftest import intersection_rows
 
@@ -67,8 +67,6 @@ class TestCanonicalCycle:
         graphs.extend(graph for graph, _, _ in random_corpus[:30])
         for graph in graphs:
             cycle = canonical_cycle(graph)
-            matrix = intersection_matrix(graph)
-            assert matrix.mul_vector(cycle.coefficients) == qvector(cycle.adjunction_rhs)
             # by integer row sums over the edge list, after clearing denominators
             k = lcm(*(r.denominator for r in cycle.coefficients))
             scaled = [int(k * r) for r in cycle.coefficients]

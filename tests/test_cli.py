@@ -42,7 +42,7 @@ class TestCheck:
         assert "negative definite: yes\n" in out
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(N3_TEXT))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(N3_TEXT.encode())))
         code, out, _ = run(capsys, "check", "-i", "-")
         assert code == 0
         assert "m: 2\n" in out
@@ -68,6 +68,33 @@ class TestCheck:
         code, _, err = run(capsys, "check", "-i", str(path))
         assert code == 1
         assert "line 1" in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_is_a_parse_error(self, source, capsys, tmp_path, monkeypatch):
+        data = b"vertex a e=-2 g=0\nvertex b e=-2 g=0\xff\nedge a b\n"
+        path = tmp_path / "bad.pg"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, "check", "-i", str(path) if source == "file" else "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: input is not UTF-8: byte 0xff at offset 35\n"
+
+    @pytest.mark.parametrize("template", ["vertex a e=-{} g=0", "vertex a e=-2 g={}"])
+    def test_integer_past_the_digit_limit(self, template, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no digit limit for int strings")
+        line = template.format("9" * (limit + 1))
+        field = max(line.split(), key=len)
+        path = tmp_path / "long.pg"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: line 1: '{field[:2]}' has {limit + 1} digits, more than "
+                       f"the interpreter's limit of {limit}; got {field[:20] + '...'!r}\n")
 
     def test_indefinite_graph(self, capsys, tmp_path):
         path = tmp_path / "pos.pg"

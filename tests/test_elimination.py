@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import plumbook.graph
 from plumbook import (PlumbingGraph, ValidationError, canonical_cycle,
-                      eliminate, eliminate_upper, intersection_matrix,
-                      serialize_graph, solve_multiplicities, validate)
+                      eliminate_upper, serialize_graph, solve_multiplicities,
+                      validate)
 from plumbook.cli import main
 
 from .conftest import intersection_rows
@@ -126,15 +126,15 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(graph):
     # Sylvester: (-1)^k times the k-th leading minor must be > 0 for every k
     failing = [k for k in range(1, graph.m + 1)
                if (-1) ** k * leibniz_determinant([r[:k] for r in rows[:k]]) <= 0]
-    # the dense matrix, and the sparse integer upper rows a graph hands over
-    upper = [{j: x for j, x in enumerate(r) if j >= i and x} for i, r in enumerate(rows)]
-    for factors in (eliminate(intersection_matrix(graph)), eliminate_upper(upper)):
-        if failing:
-            assert not factors.negative_definite
-            assert factors.stopped_at == failing[0] - 1
-        else:
-            assert factors.negative_definite
-            assert factors.determinant() == leibniz_determinant(rows)
+    # the sparse integer upper rows a graph hands over
+    factors = eliminate_upper([{j: x for j, x in enumerate(r) if j >= i and x}
+                               for i, r in enumerate(rows)])
+    if failing:
+        assert not factors.negative_definite
+        assert factors.stopped_at == failing[0] - 1
+    else:
+        assert factors.negative_definite
+        assert factors.determinant() == leibniz_determinant(rows)
 
 
 @st.composite

@@ -1,8 +1,7 @@
 import pytest
 
 from plumbook import (ParseError, PlumbingGraph, ValidationError, Vertex,
-                      intersection_matrix, parse_graph, serialize_graph,
-                      validate)
+                      parse_graph, serialize_graph, validate)
 
 N3_TEXT = """\
 # two curves meeting once
@@ -49,10 +48,10 @@ class TestConstruction:
                           [("a", "b"), ("b", "a")])
 
     def test_index_of(self):
+        # a vertex's index in every vertex-indexed vector is its place in ids
         graph = PlumbingGraph([("x", -2, 0), ("y", -2, 0)], [("x", "y")])
-        assert graph.index_of("y") == 1
-        with pytest.raises(ValidationError):
-            graph.index_of("z")
+        assert graph.ids.index("y") == 1
+        assert "z" not in graph.ids
 
     def test_adjacency_and_degrees(self, fixed_corpus):
         d4 = fixed_corpus["d4"]
@@ -123,23 +122,6 @@ class TestParsing:
             parse_graph("vertex a e=-2 g=0\nedge a b\nvertex b e=-2 g=0")
 
 
-class TestIntersectionMatrix:
-    def test_family_matrix(self, fixed_corpus):
-        matrix = intersection_matrix(fixed_corpus["family_n3"])
-        assert matrix.row(0) == (-3, 1)
-        assert matrix.row(1) == (1, -1)
-
-    def test_symmetry_random(self, random_corpus):
-        for graph, _, _ in random_corpus[:25]:
-            matrix = intersection_matrix(graph)
-            for i in range(graph.m):
-                assert matrix[i, i] == graph.vertices[i].euler
-                for j in range(graph.m):
-                    assert matrix[i, j] == matrix[j, i]
-                    if i != j:
-                        assert matrix[i, j] in (0, 1)
-
-
 class TestValidate:
     def test_family_summary(self, fixed_corpus):
         summary = validate(fixed_corpus["family_n3"])
@@ -148,7 +130,6 @@ class TestValidate:
         assert summary.h == 58
         assert summary.chi_neighborhood == -55
         assert summary.cycle_rank == 0
-        assert not summary.is_cyclic
         assert summary.degrees == (1, 1)
 
     def test_single_vertex_summaries(self, fixed_corpus):
@@ -160,7 +141,6 @@ class TestValidate:
     def test_cyclic_graph_allowed_and_flagged(self, fixed_corpus):
         summary = validate(fixed_corpus["triangle"])
         assert summary.cycle_rank == 1
-        assert summary.is_cyclic
         assert summary.h == 1
         assert summary.chi_neighborhood == 6 - 3
 

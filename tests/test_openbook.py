@@ -7,9 +7,10 @@ import pytest
 
 import plumbook.cli
 import plumbook.openbook
-from plumbook import (ValidationError, build_open_book,
-                      equivalence_certificate, minimal_openbook_divisor,
-                      serialize_graph, solve_multiplicities, verify_gluing)
+from plumbook import (ConsistencyError, GluingCheck, MinimalDivisor,
+                      ValidationError, build_open_book, equivalence_certificate,
+                      minimal_openbook_divisor, serialize_graph,
+                      solve_multiplicities, verify_gluing)
 from plumbook.cli import main
 
 from .conftest import intersection_rows
@@ -145,9 +146,8 @@ class TestEquivalenceCertificate:
         assert certificate.divisor == (30, 87)
         assert certificate.binding == (3, 57)
         assert certificate.scale == 1
-        assert (certificate.milnor_side.binding_counts
-                == certificate.configuration_side.binding_counts == (3, 57))
-        assert certificate.milnor_side.multiplicities == (30, 87)
+        assert certificate.configuration_side.binding_counts == (3, 57)
+        assert certificate.configuration_side.multiplicities == (30, 87)
         expected = hashlib.sha256(
             serialize_graph(graph).encode("utf-8")).hexdigest()
         assert certificate.graph_hash == expected
@@ -160,17 +160,35 @@ class TestEquivalenceCertificate:
             found = minimal_openbook_divisor(graph)
             assert certificate.divisor == found.divisor
             k = certificate.scale
-            assert (certificate.milnor_side.multiplicities
+            assert (certificate.configuration_side.multiplicities
                     == tuple(k * d for d in found.divisor))
 
     def test_sides_agree_up_to_construction(self, random_corpus):
+        # one book stands for both sides: it carries the divisor's binding
+        # and gives the divisor back as its multiplicities
         for graph, _, _ in random_corpus[:25]:
             certificate = equivalence_certificate(graph)
+            book = certificate.configuration_side
             assert certificate.verdict
-            assert (certificate.milnor_side.binding
-                    == certificate.configuration_side.binding)
-            assert verify_gluing(certificate.milnor_side).ok
-            assert verify_gluing(certificate.configuration_side).ok
+            assert book.binding == certificate.binding
+            assert book.multiplicities == certificate.divisor
+            assert verify_gluing(book).ok
+
+    @pytest.mark.parametrize("tamper", ["divisor", "solve", "solve, gluing unchecked"])
+    def test_tampered_round_trip_is_caught(self, tamper, fixed_corpus, monkeypatch):
+        if tamper == "divisor":
+            monkeypatch.setattr(plumbook.openbook, "minimal_openbook_divisor",
+                                lambda graph: MinimalDivisor((31, 87), (3, 57)))
+        else:
+            monkeypatch.setattr(plumbook.openbook, "solve_multiplicities",
+                                lambda graph, binding: (Fraction(31), Fraction(87)))
+        if tamper == "solve, gluing unchecked":
+            monkeypatch.setattr(plumbook.openbook, "verify_gluing",
+                                lambda description: GluingCheck(ok=True, failures=()))
+            assert not equivalence_certificate(fixed_corpus["family_n3"]).verdict
+        else:
+            with pytest.raises(ConsistencyError):
+                equivalence_certificate(fixed_corpus["family_n3"])
 
 
 @pytest.fixture
@@ -187,14 +205,13 @@ def gluing_checks(monkeypatch):
     return calls
 
 
-# --n assembles one book; the certificate assembles the configuration and
-# the smoothing side; a --k other than the least scale rebuilds the
-# configuration side once more.  The report reuses the check made at
-# assembly instead of running its own.
+# --n assembles one book, and so does the certificate; a --k other than the
+# least scale assembles the book once more.  The report reuses the check
+# made at assembly instead of running its own.
 @pytest.mark.parametrize("args, books", [
     (["--n", "A=3,B=57"], [(30, 87)]),
-    ([], [(30, 87), (30, 87)]),
-    (["--k", "2"], [(30, 87), (30, 87), (60, 174)]),
+    ([], [(30, 87)]),
+    (["--k", "2"], [(30, 87), (60, 174)]),
 ])
 @pytest.mark.parametrize("json", [False, True])
 def test_openbook_checks_each_assembled_description_once(args, books, json, gluing_checks,

@@ -19,7 +19,7 @@ def family_inputs(N):
 
 class TestAmbientData:
     def test_plain_fields(self):
-        ambient = AmbientData(chi=1, sigma=-100, description="surface bundle")
+        ambient = AmbientData(chi=1, sigma=-100)
         assert (ambient.chi, ambient.sigma) == (1, -100)
 
     def test_rejects_non_integers(self):
