@@ -18,8 +18,7 @@ from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      brieskorn_mu, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, specialized, surface_mu)
-from .graph import (GraphSummary, PlumbingGraph, Vertex, parse_graph,
-                    serialize_graph, validate)
+from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
 from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
                        OpenBookDescription, build_open_book,
                        equivalence_certificate, solve_multiplicities,
@@ -42,7 +41,6 @@ __all__ = [
     "EquivalenceCertificate",
     "FamilyParams",
     "GluingCheck",
-    "GraphSummary",
     "MinimalDivisor",
     "OpenBookDescription",
     "ParseError",
@@ -78,6 +76,5 @@ __all__ = [
     "specialized",
     "surface_mu",
     "surgery_characteristics",
-    "validate",
     "verify_gluing",
 ]

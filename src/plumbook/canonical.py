@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import PlumbingGraph, validate
+from .graph import PlumbingGraph
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def adjunction_rhs(graph: PlumbingGraph) -> tuple[int, ...]:
 def canonical_cycle(graph: PlumbingGraph) -> CanonicalCycle:
     """Solve the adjunction system exactly and report K^2 = r . rhs."""
     rhs = adjunction_rhs(graph)
-    coefficients = validate(graph).factors.solve(rhs)
+    coefficients = graph.factors.solve(rhs)
     k_squared = sum((r * b for r, b in zip(coefficients, rhs)), Fraction(0))
     return CanonicalCycle(coefficients=coefficients, k_squared=k_squared,
                           adjunction_rhs=rhs)

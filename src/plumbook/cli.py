@@ -28,7 +28,7 @@ from .errors import ConsistencyError, ParseError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
-from .graph import PlumbingGraph, parse_graph, validate
+from .graph import PlumbingGraph, parse_graph
 from .openbook import OpenBookDescription, build_open_book, equivalence_certificate
 from .report import render_json, render_text
 from .surgery import AmbientData, surgery_characteristics
@@ -64,17 +64,16 @@ def _read_graph(path: str) -> PlumbingGraph:
 
 def _run_check(args) -> dict:
     graph = _read_graph(args.input)
-    summary = validate(graph)
     return {
         "vertices": graph.ids,
-        "m": summary.m,
-        "edges": summary.edge_count,
+        "m": graph.m,
+        "edges": len(graph.edges),
         "negative definite": True,
-        "determinant": summary.factors.determinant(),
-        "h": summary.h,
-        "chi of neighborhood": summary.chi_neighborhood,
-        "cycle rank": summary.cycle_rank,
-        "degrees": summary.degrees,
+        "determinant": graph.factors.determinant(),
+        "h": graph.h,
+        "chi of neighborhood": graph.chi_neighborhood,
+        "cycle rank": graph.cycle_rank,
+        "degrees": graph.degrees,
     }
 
 
@@ -145,7 +144,8 @@ def _parse_binding(text: str, graph: PlumbingGraph) -> tuple[int, ...]:
         if name in values:
             raise ValidationError(f"binding assigns vertex {name!r} twice")
         values[name] = value
-    unknown = [name for name in values if name not in graph.ids]
+    known = set(graph.ids)
+    unknown = [name for name in values if name not in known]
     if unknown:
         raise ValidationError(f"binding names unknown vertices: {', '.join(unknown)}")
     missing = [vid for vid in graph.ids if vid not in values]

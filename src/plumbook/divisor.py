@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .graph import PlumbingGraph, validate
+from .graph import PlumbingGraph
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def _check_divisor(graph: PlumbingGraph, divisor: Sequence[int]) -> None:
 
 def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> ConditionReport:
     """Evaluate condition (a) for an effective nonzero divisor."""
-    validate(graph)
     _check_divisor(graph, divisor)
     if any(d < 0 for d in divisor):
         raise ValidationError("divisor must be effective (no negative entries)")
@@ -95,7 +94,7 @@ def minimal_openbook_divisor(graph: PlumbingGraph) -> MinimalDivisor:
     """
     thresholds = [min(-(deg + 2 * v.genus), -1)
                   for v, deg in zip(graph.vertices, graph.degrees)]
-    lower = validate(graph).factors.solve(thresholds)
+    lower = graph.factors.solve(thresholds)
     d = [max(1, -(-x.numerator // x.denominator)) for x in lower]
     row = _intersection_with(graph, d)
     abs_e = [-v.euler for v in graph.vertices]

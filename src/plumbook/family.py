@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .canonical import canonical_cycle
 from .errors import ConsistencyError, ValidationError
-from .graph import PlumbingGraph, Vertex, validate
+from .graph import PlumbingGraph, Vertex
 
 
 @dataclass(frozen=True)
@@ -97,41 +97,33 @@ def brieskorn_mu(a: int, b: int) -> int:
     return (a - 1) * (b - 1)
 
 
-def _plane_mu(s: int, t: int, N: int) -> int:
+def plane_curve_mu(params: FamilyParams) -> int:
+    """Milnor number of the branch curve (x^s+y^s)(x^t+y^{Nt}) at the origin."""
     # multiplicity s+t, tangent lines s+1, and one blow-up leaves a single
     # singular point of type x^t + y^{(N-1)t}
+    s, t, N = params.s, params.t, params.N
     d = s + t
     r = s + 1
     return d * (d - 1) + brieskorn_mu(t, (N - 1) * t) + 1 - r
 
 
-def plane_curve_mu(params: FamilyParams) -> int:
-    """Milnor number of the branch curve (x^s+y^s)(x^t+y^{Nt}) at the origin."""
-    return _plane_mu(params.s, params.t, params.N)
-
-
-def _surface_mu(s: int, t: int, N: int) -> int:
-    # suspension by z^{N-1} multiplies mu by N-2
-    return (N - 2) * _plane_mu(s, t, N)
-
-
 def surface_mu(params: FamilyParams) -> int:
     """Milnor number of the surface singularity, = (N-2) times the plane one."""
-    return _surface_mu(params.s, params.t, params.N)
+    # suspension by z^{N-1} multiplies mu by N-2
+    return (params.N - 2) * plane_curve_mu(params)
 
 
 def family_resolution_graph(params: FamilyParams) -> PlumbingGraph:
-    """Two-vertex resolution graph: A (e=-N) and B (e=-1) meeting once."""
-    genus_a, rem_a = divmod((params.s - 1) * (params.N - 2), 2)
-    genus_b, rem_b = divmod((params.t - 1) * (params.N - 2), 2)
-    if rem_a or rem_b:
-        raise ValidationError("non-integral genus; parameters violate the parity constraint")
-    graph = PlumbingGraph(
+    """Two-vertex resolution graph: A (e=-N) and B (e=-1) meeting once.
+
+    FamilyParams has already checked that both genera are integers.
+    """
+    genus_a = (params.s - 1) * (params.N - 2) // 2
+    genus_b = (params.t - 1) * (params.N - 2) // 2
+    return PlumbingGraph(
         [Vertex("A", -params.N, genus_a), Vertex("B", -1, genus_b)],
         [("A", "B")],
     )
-    validate(graph)
-    return graph
 
 
 def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariants:
@@ -141,16 +133,15 @@ def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariant
     both divide exactly with p_g >= 0; any failure means the inputs do
     not belong together and is raised as an internal inconsistency.
     """
-    summary = validate(graph)
     cycle = canonical_cycle(graph)
     if not cycle.k_squared_is_integral:
         raise ConsistencyError(f"K^2 = {cycle.k_squared} is not an integer")
     k_squared = int(cycle.k_squared)
-    sigma_num = 2 * mu + k_squared + summary.m + 2 * summary.h
+    sigma_num = 2 * mu + k_squared + graph.m + 2 * graph.h
     if sigma_num % 3 != 0:
         raise ConsistencyError(
             f"2*mu + K^2 + m + 2h = {sigma_num} is not divisible by 3")
-    p_g_num = mu - k_squared + summary.h - summary.m
+    p_g_num = mu - k_squared + graph.h - graph.m
     if p_g_num % 12 != 0:
         raise ConsistencyError(
             f"mu - K^2 + h - m = {p_g_num} is not divisible by 12")
@@ -162,8 +153,8 @@ def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariant
         sigma=-(sigma_num // 3),
         p_g=p_g,
         k_squared=k_squared,
-        h=summary.h,
-        m=summary.m,
+        h=graph.h,
+        m=graph.m,
         b1=0,
     )
 

@@ -1,9 +1,12 @@
 """Plumbing graphs: weighted-graph model, text format, derived data.
 
 A plumbing graph is a finite connected graph whose vertex v carries an
-Euler number e_v (self-intersection, an integer) and a genus g_v >= 0.
-Loops and multi-edges are forbidden: two curves meet in at most one
-point and a curve does not meet itself in this configuration model.
+Euler number e_v (self-intersection, an integer) and a genus g_v >= 0,
+and whose intersection matrix is negative definite.  Loops and
+multi-edges are forbidden: two curves meet in at most one point and a
+curve does not meet itself in this configuration model.  A
+`PlumbingGraph` that exists is valid: its constructor checks all of
+this and keeps the factorization it checked definiteness with.
 
 Text format (UTF-8, line oriented)::
 
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .rational import Elimination, eliminate_upper
+from .rational import eliminate_upper
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -39,11 +42,23 @@ class Vertex:
 
 
 class PlumbingGraph:
-    """Immutable vertex-weighted graph with an unordered simple edge set.
+    """Immutable, connected, negative-definite vertex-weighted graph.
 
-    `adjacency` (neighbor indices per vertex, ascending) and `degrees` are
-    fixed at construction.  `validate` keeps its result, factorization
-    included, on the instance, so a graph is factored at most once.
+    The constructor checks the structure, then connectivity, then
+    negative definiteness by one symmetric elimination of the
+    intersection matrix, and raises ValidationError on the first
+    failure; a definiteness failure names the vertex whose pivot is the
+    first >= 0.  Euler numbers are not sign-checked on their own: a
+    nonnegative e_v always surfaces as a definiteness failure.
+
+    Everything derived is fixed at construction: `ids`, `adjacency`
+    (neighbor indices per vertex, ascending), `degrees`, `factors` (the
+    elimination, from which the determinant and every exact solve are
+    read), `cycle_rank`, `h`, the first-Betti rank of the glued-up curve
+    configuration (2*sum(genus) plus one per independent cycle), and
+    `chi_neighborhood`, the Euler characteristic of a regular
+    neighborhood of the configuration (sum(2 - 2*g_v) minus one per
+    intersection point).
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
@@ -76,6 +91,8 @@ class PlumbingGraph:
                 raise ValidationError(f"repeated edge between {u!r} and {w!r}")
             pairs.add((i, j))
         self.vertices: tuple[Vertex, ...] = tuple(verts)
+        self.ids: tuple[str, ...] = tuple(index)
+        self.m = len(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
         nbrs: list[list[int]] = [[] for _ in verts]
         for i, j in self.edges:
@@ -83,15 +100,19 @@ class PlumbingGraph:
             nbrs[j].append(i)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(n)) for n in nbrs)
         self.degrees: tuple[int, ...] = tuple(len(n) for n in nbrs)
-        self._summary: GraphSummary | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
+        if not _is_connected(self.adjacency):
+            raise ValidationError("graph is disconnected")
+        upper = [{i: v.euler} for i, v in enumerate(verts)]
+        for i, j in self.edges:
+            upper[i][j] = 1
+        self.factors = eliminate_upper(upper)
+        if not self.factors.negative_definite:
+            raise ValidationError(
+                "intersection matrix is not negative definite "
+                f"(pivot at vertex {verts[self.factors.stopped_at].id})")
+        self.cycle_rank = len(self.edges) - self.m + 1
+        self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
+        self.chi_neighborhood = sum(2 - 2 * v.genus for v in verts) - len(self.edges)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PlumbingGraph)
@@ -105,32 +126,13 @@ class PlumbingGraph:
         return f"PlumbingGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class GraphSummary:
-    """Derived combinatorial data of a validated graph.
-
-    h is the first-Betti rank of the glued-up curve configuration:
-    2*sum(genus) plus one per independent cycle of the graph.
-    chi_neighborhood is the Euler characteristic of a regular
-    neighborhood of the configuration: sum(2 - 2*g_v) minus one per
-    intersection point.  factors is the elimination of the intersection
-    matrix, from which the determinant and every exact solve are read.
-    """
-    m: int
-    edge_count: int
-    h: int
-    chi_neighborhood: int
-    degrees: tuple[int, ...]
-    cycle_rank: int
-    factors: Elimination = field(compare=False, repr=False)
-
-
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format.
 
     Structural errors (syntax, duplicate ids, unknown endpoints, loops,
-    repeated edges) raise ParseError with the line number.  Connectivity
-    and definiteness are deliberately not checked here; see `validate`.
+    repeated edges) raise ParseError with the line number.  A graph that
+    parses but is disconnected or not negative definite raises the
+    constructor's ValidationError, which has no line to point at.
     """
     vertices: list[Vertex] = []
     seen: dict[str, int] = {}
@@ -203,45 +205,7 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate(graph: PlumbingGraph) -> GraphSummary:
-    """Check connectivity and negative definiteness; return derived data.
-
-    The two failure modes are reported distinctly, a definiteness failure
-    with the vertex whose pivot is the first >= 0.  Euler numbers are not
-    sign-checked on their own: a nonnegative e_v always surfaces as a
-    definiteness failure.  The summary is kept on the graph, so later
-    calls return it without factoring again.
-    """
-    if graph._summary is not None:
-        return graph._summary
-    if not _is_connected(graph):
-        raise ValidationError("graph is disconnected")
-    upper = [{i: v.euler} for i, v in enumerate(graph.vertices)]
-    for i, j in graph.edges:
-        upper[i][j] = 1
-    factors = eliminate_upper(upper)
-    if not factors.negative_definite:
-        raise ValidationError(
-            "intersection matrix is not negative definite "
-            f"(pivot at vertex {graph.vertices[factors.stopped_at].id})")
-    m = graph.m
-    edge_count = len(graph.edges)
-    cycle_rank = edge_count - m + 1
-    total_genus = sum(v.genus for v in graph.vertices)
-    graph._summary = GraphSummary(
-        m=m,
-        edge_count=edge_count,
-        h=2 * total_genus + cycle_rank,
-        chi_neighborhood=sum(2 - 2 * v.genus for v in graph.vertices) - edge_count,
-        degrees=graph.degrees,
-        cycle_rank=cycle_rank,
-        factors=factors,
-    )
-    return graph._summary
-
-
-def _is_connected(graph: PlumbingGraph) -> bool:
-    adjacency = graph.adjacency
+def _is_connected(adjacency: tuple[tuple[int, ...], ...]) -> bool:
     seen = {0}
     stack = [0]
     while stack:
@@ -250,4 +214,4 @@ def _is_connected(graph: PlumbingGraph) -> bool:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == graph.m
+    return len(seen) == len(adjacency)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .divisor import binding_vector, minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
-from .graph import PlumbingGraph, serialize_graph, validate
+from .graph import PlumbingGraph, serialize_graph
 from .rational import lcm_of_denominators
 
 
@@ -104,9 +104,8 @@ def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, .
 def solve_multiplicities(graph: PlumbingGraph,
                          binding: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact positive rational N with I.N = -n."""
-    factors = validate(graph).factors
     entries = _check_binding(graph, binding)
-    result = factors.solve([-n for n in entries])
+    result = graph.factors.solve([-n for n in entries])
     if any(x <= 0 for x in result):
         raise ConsistencyError(
             "multiplicity solution has a nonpositive entry; "
@@ -122,8 +121,8 @@ def build_open_book(graph: PlumbingGraph,
     `scale` defaults to the least k making k.N integral; an explicit
     scale must be a positive multiple of that minimum.
     """
-    entries = _check_binding(graph, binding)
-    rational_n = solve_multiplicities(graph, entries)
+    rational_n = solve_multiplicities(graph, binding)   # checks the binding
+    entries = tuple(int(n) for n in binding)
     minimal_scale = lcm_of_denominators(rational_n)
     if scale is None:
         scale = minimal_scale

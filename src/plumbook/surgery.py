@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .family import SmoothingInvariants
-from .graph import PlumbingGraph, validate
+from .graph import PlumbingGraph
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,18 @@ def surgery_characteristics(
     The invariants must have been computed from the same graph; their
     recorded m and h are cross-checked against it.
     """
-    summary = validate(graph)
-    if invariants.m != summary.m or invariants.h != summary.h:
+    if invariants.m != graph.m or invariants.h != graph.h:
         raise ValidationError(
             "invariants were computed from a different graph: "
             f"(m, h) = ({invariants.m}, {invariants.h}) vs "
-            f"({summary.m}, {summary.h})")
-    chi = ambient.chi - summary.chi_neighborhood + 1 + invariants.mu
-    sigma = ambient.sigma + summary.m + invariants.sigma
+            f"({graph.m}, {graph.h})")
+    chi = ambient.chi - graph.chi_neighborhood + 1 + invariants.mu
+    sigma = ambient.sigma + graph.m + invariants.sigma
     c1_squared = 2 * chi + 3 * sigma
     chi_h = Fraction(chi + sigma, 4)
     bmy_defect = 9 * chi_h - c1_squared
     return SurgeryReport(
-        chi_neighborhood=summary.chi_neighborhood,
+        chi_neighborhood=graph.chi_neighborhood,
         chi=chi,
         sigma=sigma,
         c1_squared=c1_squared,

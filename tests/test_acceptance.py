@@ -14,7 +14,7 @@ from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
                       equivalence_certificate, family_resolution_graph,
                       milnor_fiber_invariants, minimal_openbook_divisor,
                       openbook_condition, plane_curve_mu, scale_divisor,
-                      solve_multiplicities, specialized, surface_mu, validate,
+                      solve_multiplicities, specialized, surface_mu,
                       verify_gluing)
 
 from .conftest import (BRUTE_FORCE_NAMES, brute_force_minimum, is_feasible,
@@ -67,13 +67,12 @@ def test_criterion_2_consistency_integers(capsys):
         for N in N_SET:
             params = specialized(N)
             graph = family_resolution_graph(params)
-            summary = validate(graph)
             cycle = canonical_cycle(graph)
             assert cycle.k_squared.denominator == 1
             k_squared = int(cycle.k_squared)
             mu = surface_mu(params)
-            assert (2 * mu + k_squared + summary.m + 2 * summary.h) % 3 == 0, N
-            p_g_numerator = mu - k_squared + summary.h - summary.m
+            assert (2 * mu + k_squared + graph.m + 2 * graph.h) % 3 == 0, N
+            p_g_numerator = mu - k_squared + graph.h - graph.m
             assert p_g_numerator % 12 == 0, N
             assert p_g_numerator >= 0, N
             invariants = milnor_fiber_invariants(graph, mu)
@@ -157,7 +156,6 @@ def test_criterion_7_exact_anchors(capsys, fixed_corpus):
         assert invariants.p_g == 0
         assert invariants.k_squared == 0
         for name, graph in _ade_graphs().items():
-            validate(graph)
             cycle = canonical_cycle(graph)
             assert cycle.coefficients == (0,) * graph.m, name
             assert cycle.k_squared == 0, name

@@ -10,7 +10,7 @@ import pytest
 import plumbook
 from plumbook.cli import build_parser, main
 
-from .conftest import is_feasible
+from .conftest import intersection_rows, is_feasible
 
 N3_TEXT = """\
 vertex a e=-3 g=1
@@ -184,6 +184,36 @@ class TestOpenbook:
             code, _, err = run(capsys, "openbook", "-i", n3_file, "--n", entry)
             assert code == 1, entry
             assert "error:" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("v2=1,x=1,v0=1,w=1,v1=1", "binding names unknown vertices: x, w"),
+        ("v2=1", "binding is missing vertices: v0, v1"),
+    ])
+    def test_binding_name_errors_keep_their_order(self, entry, message, capsys, tmp_path):
+        path = tmp_path / "a3.pg"
+        path.write_text("".join(f"vertex v{i} e=-2 g=0\n" for i in range(3))
+                        + "edge v0 v1\nedge v1 v2\n", encoding="utf-8")
+        code, out, err = run(capsys, "openbook", "-i", str(path), "--n", entry)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_full_binding_on_a_long_chain(self, capsys, tmp_path):
+        # each entry is looked up in a set built once, not in the tuple of
+        # ids, so reading a full --n is linear in the number of vertices
+        m = 2000
+        text = "".join(f"vertex c{i} e=-3 g=0\n" for i in range(m))
+        text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
+        path = tmp_path / "chain.pg"
+        path.write_text(text, encoding="utf-8")
+        # n = -I.(1, ..., 1): 2 at both ends, 1 inside
+        binding = [2] + [1] * (m - 2) + [2]
+        argv = ",".join(f"c{i}={n}" for i, n in enumerate(binding))
+        code, out, err = run(capsys, "openbook", "-i", str(path), "--n", argv, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["binding"] == binding
+        graph = plumbook.parse_graph(text)
+        assert intersection_rows(graph, report["multiplicities"]) == [
+            -b for b in report["binding counts"]]
 
 
 class TestFamily:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 from math import lcm, prod
 
@@ -17,8 +18,7 @@ from hypothesis import strategies as st
 
 import plumbook.graph
 from plumbook import (PlumbingGraph, ValidationError, canonical_cycle,
-                      eliminate_upper, serialize_graph, solve_multiplicities,
-                      validate)
+                      eliminate_upper, serialize_graph, solve_multiplicities)
 from plumbook.cli import main
 
 from .conftest import intersection_rows
@@ -56,20 +56,30 @@ def star(centre: int, genus: int, legs: list[list[int]], order: list[int]) -> Pl
     return PlumbingGraph([vertices[i] for i in order], edges)
 
 
-def rows_of(graph: PlumbingGraph) -> list[list[int]]:
-    rows = [[0] * graph.m for _ in range(graph.m)]
-    for i, v in enumerate(graph.vertices):
-        rows[i][i] = v.euler
-    for i, j in graph.edges:
+def rows_of(weights: list[int], pairs) -> list[list[int]]:
+    rows = [[0] * len(weights) for _ in weights]
+    for i, e in enumerate(weights):
+        rows[i][i] = e
+    for i, j in pairs:
         rows[i][j] = rows[j][i] = 1
     return rows
+
+
+def connected(m: int, pairs) -> bool:
+    """Whether every vertex is reached from vertex 0, by m rounds of
+    growing the reached set over the edge list."""
+    reached = {0}
+    for _ in range(m):
+        reached |= {j for i, j in pairs if i in reached}
+        reached |= {i for i, j in pairs if j in reached}
+    return len(reached) == m
 
 
 @PROPERTY
 @given(entries)
 def test_chain_determinant_is_the_continued_fraction_numerator(a):
     p = continued_fraction(a).numerator
-    factors = validate(chain(a)).factors
+    factors = chain(a).factors
     assert factors.determinant() == (-1) ** len(a) * p
 
 
@@ -88,43 +98,45 @@ def stars(draw):
 @example((1, 0, [[2], [3], [5]], [3, 2, 1, 0]))      # e > 0: indefinite
 def test_star_determinant_is_orbifold_euler_number_times_leg_numerators(case):
     centre, genus, legs, order = case
-    graph = star(centre, genus, legs, order)
     fractions = [continued_fraction(a) for a in legs]
     euler = -centre + sum(1 / f for f in fractions)
     if euler >= 0:
         with pytest.raises(ValidationError, match="not negative definite"):
-            validate(graph)
+            star(centre, genus, legs, order)
         return
-    determinant = validate(graph).factors.determinant()
+    graph = star(centre, genus, legs, order)
+    determinant = graph.factors.determinant()
     assert determinant == (-1) ** graph.m * -euler * prod(f.numerator for f in fractions)
 
 
 @st.composite
 def small_graphs(draw):
+    """Vertex weights and edges (index pairs i < j) of a possibly
+    disconnected, possibly indefinite graph."""
     m = draw(st.integers(1, 5))
     pairs = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
                          .filter(lambda p: p[0] < p[1]), max_size=6))
     weights = draw(st.lists(st.integers(-4, 1), min_size=m, max_size=m))
-    return PlumbingGraph([(f"v{i}", e, 0) for i, e in enumerate(weights)],
-                         [(f"v{i}", f"v{j}") for i, j in sorted(pairs)])
+    return weights, sorted(pairs)
 
 
-def triangle(e: int) -> PlumbingGraph:
-    return PlumbingGraph([("a", e, 0), ("b", e, 0), ("c", e, 0)],
-                         [("a", "b"), ("b", "c"), ("a", "c")])
+def triangle(e: int) -> tuple[list[int], list[tuple[int, int]]]:
+    return [e, e, e], [(0, 1), (0, 2), (1, 2)]
 
 
 @PROPERTY
 @given(small_graphs())
-@example(triangle(-2))                                                   # singular
-@example(PlumbingGraph([("a", -1, 0), ("b", -1, 0)], [("a", "b")]))     # singular
-@example(PlumbingGraph([("a", -1, 0), ("b", -1, 0), ("c", -2, 0)],
-                       [("a", "b"), ("b", "c")]))                        # indefinite
+@example(triangle(-2))                         # singular
+@example(([-1, -1], [(0, 1)]))                 # singular
+@example(([-1, -1, -2], [(0, 1), (1, 2)]))     # indefinite
+@example(([-2, -2], []))                       # definite, disconnected
 @example(triangle(-3))
-def test_definiteness_and_stopping_row_match_leibniz_leading_minors(graph):
-    rows = rows_of(graph)
+def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
+    weights, pairs = case
+    m = len(weights)
+    rows = rows_of(weights, pairs)
     # Sylvester: (-1)^k times the k-th leading minor must be > 0 for every k
-    failing = [k for k in range(1, graph.m + 1)
+    failing = [k for k in range(1, m + 1)
                if (-1) ** k * leibniz_determinant([r[:k] for r in rows[:k]]) <= 0]
     # the sparse integer upper rows a graph hands over
     factors = eliminate_upper([{j: x for j, x in enumerate(r) if j >= i and x}
@@ -135,6 +147,20 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(graph):
     else:
         assert factors.negative_definite
         assert factors.determinant() == leibniz_determinant(rows)
+    # a connected graph is constructed exactly when every leading minor has
+    # the right sign; otherwise the error names the first failing vertex
+    vertices = [(f"v{i}", e, 0) for i, e in enumerate(weights)]
+    edges = [(f"v{i}", f"v{j}") for i, j in pairs]
+    if not connected(m, pairs):
+        with pytest.raises(ValidationError, match="^graph is disconnected$"):
+            PlumbingGraph(vertices, edges)
+    elif failing:
+        message = ("intersection matrix is not negative definite "
+                   f"(pivot at vertex v{failing[0] - 1})")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PlumbingGraph(vertices, edges)
+    else:
+        assert PlumbingGraph(vertices, edges).factors.determinant() == leibniz_determinant(rows)
 
 
 @st.composite
@@ -147,9 +173,9 @@ def definite_graphs(draw):
     degree = [sum(v in p for p in pairs) for v in range(m)]
     vertices = [(f"v{i}", -degree[i] - draw(st.integers(0, 4)), draw(st.integers(0, 3)))
                 for i in range(m)]
-    graph = PlumbingGraph(vertices, [(f"v{i}", f"v{j}") for i, j in sorted(pairs)])
+    edges = [(f"v{i}", f"v{j}") for i, j in sorted(pairs)]
     binding = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    return graph, binding
+    return vertices, edges, binding
 
 
 def scaled_integral(vector) -> tuple[int, list[int]]:
@@ -160,9 +186,9 @@ def scaled_integral(vector) -> tuple[int, list[int]]:
 @PROPERTY
 @given(definite_graphs())
 def test_both_solves_satisfy_integer_row_sums(case):
-    graph, binding = case
+    vertices, edges, binding = case
     try:
-        validate(graph)
+        graph = PlumbingGraph(vertices, edges)
     except ValidationError:
         assume(False)
     cycle = canonical_cycle(graph)
@@ -173,6 +199,8 @@ def test_both_solves_satisfy_integer_row_sums(case):
 
 
 FAMILY_N3 = "vertex A e=-3 g=1\nvertex B e=-1 g=28\nedge A B\n"
+# built at import, so the test's own construction is not counted
+STAR = serialize_graph(star(7, 1, [[30, 2], [40], [50, 3]], list(range(6))))
 
 
 @pytest.fixture
@@ -193,9 +221,8 @@ def counted(monkeypatch):
 ])
 @pytest.mark.parametrize("json", [False, True])
 def test_each_graph_subcommand_factors_its_graph_once(argv, json, counted, tmp_path):
-    graph = star(7, 1, [[30, 2], [40], [50, 3]], list(range(6)))
     path = tmp_path / "star.pg"
-    path.write_text(serialize_graph(graph), encoding="utf-8")
+    path.write_text(STAR, encoding="utf-8")
     argv = [argv[0], "-i", str(path), *argv[1:]] + (["--json"] if json else [])
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0

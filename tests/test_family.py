@@ -6,7 +6,7 @@ from plumbook import (ConsistencyError, FamilyParams, SmoothingInvariants,
                       ValidationError, brieskorn_mu, canonical_cycle,
                       closed_form_check, default_t, family_resolution_graph,
                       milnor_fiber_invariants, plane_curve_mu, specialized,
-                      surface_mu, validate)
+                      surface_mu)
 
 N_SET = (3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)
 
@@ -93,18 +93,17 @@ class TestResolutionGraph:
 
     def test_graphs_validate(self):
         for N in N_SET:
-            summary = validate(family_resolution_graph(specialized(N)))
-            assert summary.m == 2
-            assert summary.edge_count == 1
+            graph = family_resolution_graph(specialized(N))
+            assert graph.m == 2
+            assert len(graph.edges) == 1
 
     def test_h_matches_genus_sum(self):
         for N in (3, 5, 6):
             params = specialized(N)
             graph = family_resolution_graph(params)
-            summary = validate(graph)
             expected = ((params.s - 1) * (params.N - 2)
                         + (params.t - 1) * (params.N - 2))
-            assert summary.h == expected
+            assert graph.h == expected
 
 
 class TestMilnorFiberInvariants:

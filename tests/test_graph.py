@@ -1,7 +1,7 @@
 import pytest
 
 from plumbook import (ParseError, PlumbingGraph, ValidationError, Vertex,
-                      parse_graph, serialize_graph, validate)
+                      parse_graph, serialize_graph)
 
 N3_TEXT = """\
 # two curves meeting once
@@ -124,57 +124,64 @@ class TestParsing:
 
 class TestValidate:
     def test_family_summary(self, fixed_corpus):
-        summary = validate(fixed_corpus["family_n3"])
-        assert summary.m == 2
-        assert summary.edge_count == 1
-        assert summary.h == 58
-        assert summary.chi_neighborhood == -55
-        assert summary.cycle_rank == 0
-        assert summary.degrees == (1, 1)
+        graph = fixed_corpus["family_n3"]
+        assert graph.m == 2
+        assert len(graph.edges) == 1
+        assert graph.h == 58
+        assert graph.chi_neighborhood == -55
+        assert graph.cycle_rank == 0
+        assert graph.degrees == (1, 1)
 
     def test_single_vertex_summaries(self, fixed_corpus):
-        a1 = validate(fixed_corpus["a1"])
+        a1 = fixed_corpus["a1"]
         assert (a1.h, a1.chi_neighborhood) == (0, 2)
-        torus = validate(fixed_corpus["single_torus"])
+        torus = fixed_corpus["single_torus"]
         assert (torus.h, torus.chi_neighborhood) == (2, 0)
 
     def test_cyclic_graph_allowed_and_flagged(self, fixed_corpus):
-        summary = validate(fixed_corpus["triangle"])
-        assert summary.cycle_rank == 1
-        assert summary.h == 1
-        assert summary.chi_neighborhood == 6 - 3
+        graph = fixed_corpus["triangle"]
+        assert graph.cycle_rank == 1
+        assert graph.h == 1
+        assert graph.chi_neighborhood == 6 - 3
 
     def test_disconnected_rejected(self):
-        graph = PlumbingGraph([("a", -2, 0), ("b", -2, 0)])
         with pytest.raises(ValidationError, match="disconnected"):
-            validate(graph)
+            PlumbingGraph([("a", -2, 0), ("b", -2, 0)])
 
     def test_indefinite_rejected(self):
-        graph = PlumbingGraph([("a", 1, 0)])
         with pytest.raises(ValidationError, match="not negative definite"):
-            validate(graph)
+            PlumbingGraph([("a", 1, 0)])
 
     def test_null_direction_rejected(self):
-        graph = PlumbingGraph([("a", -1, 0), ("b", -1, 0)], [("a", "b")])
         with pytest.raises(ValidationError, match="not negative definite"):
-            validate(graph)
+            PlumbingGraph([("a", -1, 0), ("b", -1, 0)], [("a", "b")])
 
     def test_rejection_names_the_first_vertex_with_pivot_at_least_zero(self):
         # pivots -1, -1, 0: the leading minors of a and a-b are fine
-        graph = PlumbingGraph([("a", -1, 0), ("b", -2, 0), ("c", -1, 0)],
-                              [("a", "b"), ("b", "c")])
         with pytest.raises(ValidationError, match=r"\(pivot at vertex c\)"):
-            validate(graph)
-        graph = PlumbingGraph([("a", 0, 0)])
+            PlumbingGraph([("a", -1, 0), ("b", -2, 0), ("c", -1, 0)],
+                          [("a", "b"), ("b", "c")])
         with pytest.raises(ValidationError, match=r"\(pivot at vertex a\)"):
-            validate(graph)
+            PlumbingGraph([("a", 0, 0)])
 
     def test_summary_and_adjacency_are_kept_on_the_graph(self, fixed_corpus):
         graph = fixed_corpus["d4"]
-        assert validate(graph) is validate(graph)
+        assert graph.factors is graph.factors
+        assert graph.ids is graph.ids
         assert graph.adjacency is graph.adjacency
 
     def test_n5_summary(self, fixed_corpus):
-        summary = validate(fixed_corpus["family_n5"])
-        assert summary.h == 354
-        assert summary.m == 2
+        graph = fixed_corpus["family_n5"]
+        assert graph.h == 354
+        assert graph.m == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("vertex a e=-2 g=0\nvertex b e=-2 g=0\n", "graph is disconnected"),
+        ("vertex a e=-1 g=0\nvertex b e=-1 g=0\nedge a b\n",
+         "intersection matrix is not negative definite (pivot at vertex b)"),
+    ])
+    def test_parse_graph_raises_the_constructors_validation_error(self, text, message):
+        with pytest.raises(ValidationError) as caught:
+            parse_graph(text)
+        assert not isinstance(caught.value, ParseError)
+        assert str(caught.value) == message

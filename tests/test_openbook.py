@@ -222,3 +222,23 @@ def test_openbook_checks_each_assembled_description_once(args, books, json, glui
     assert gluing_checks == books
     out = capsys.readouterr().out
     assert ('"gluing verified": true' if json else "gluing verified: yes\n") in out
+
+
+@pytest.fixture
+def binding_checks(monkeypatch):
+    calls = []
+    check = plumbook.openbook._check_binding
+
+    def counting(graph, binding):
+        calls.append(tuple(binding))
+        return check(graph, binding)
+
+    monkeypatch.setattr(plumbook.openbook, "_check_binding", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [None, 2])
+def test_build_open_book_checks_its_binding_once(scale, binding_checks, fixed_corpus):
+    book = build_open_book(fixed_corpus["family_n3"], (3, 57), scale=scale)
+    assert binding_checks == [(3, 57)]
+    assert book.binding == (3, 57)
