@@ -15,14 +15,17 @@ Text format (UTF-8, line oriented)::
 
 '#' starts a comment, blank lines are ignored, ids match [A-Za-z0-9_]+,
 and a vertex must be declared before any edge mentions it.  Vertex
-declaration order is significant: it fixes the row/column order of the
-intersection matrix and of every vector indexed by vertices.  The
-canonical serializer emits vertices in declaration order followed by
-edges sorted lexicographically.
+declaration order is significant: it fixes the order of every vector
+indexed by vertices and of every report.  It does not fix the order in
+which the intersection matrix is factored: the constructor eliminates by
+minimum degree, whatever the file's order.  The canonical serializer
+emits vertices in declaration order followed by edges sorted
+lexicographically.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 import sys
 from dataclasses import dataclass
@@ -46,9 +49,11 @@ class PlumbingGraph:
 
     The constructor checks the structure, then connectivity, then
     negative definiteness by one symmetric elimination of the
-    intersection matrix, and raises ValidationError on the first
-    failure; a definiteness failure names the vertex whose pivot is the
-    first >= 0.  Euler numbers are not sign-checked on their own: a
+    intersection matrix in minimum-degree order, and raises
+    ValidationError on the first failure.  A definiteness failure names
+    the vertex whose pivot is the first >= 0 in declaration order, which
+    takes a second elimination in that order: another order can stop at
+    another vertex.  Euler numbers are not sign-checked on their own: a
     nonnegative e_v always surfaces as a definiteness failure.
 
     Everything derived is fixed at construction: `ids`, `adjacency`
@@ -102,14 +107,16 @@ class PlumbingGraph:
         self.degrees: tuple[int, ...] = tuple(len(n) for n in nbrs)
         if not _is_connected(self.adjacency):
             raise ValidationError("graph is disconnected")
-        upper = [{i: v.euler} for i, v in enumerate(verts)]
-        for i, j in self.edges:
-            upper[i][j] = 1
-        self.factors = eliminate_upper(upper)
+        # P^T I P is negative definite exactly when I is, and has the same
+        # determinant, so the order is free to choose
+        order = _minimum_degree_order(self.adjacency)
+        self.factors = eliminate_upper(_upper_rows(verts, self.edges, order))
         if not self.factors.negative_definite:
+            stopped = eliminate_upper(_upper_rows(verts, self.edges, range(self.m))).stopped_at
             raise ValidationError(
                 "intersection matrix is not negative definite "
-                f"(pivot at vertex {verts[self.factors.stopped_at].id})")
+                f"(pivot at vertex {verts[stopped].id})")
+        self.factors.order = order
         self.cycle_rank = len(self.edges) - self.m + 1
         self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
         self.chi_neighborhood = sum(2 - 2 * v.genus for v in verts) - len(self.edges)
@@ -203,6 +210,48 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     pairs = sorted(tuple(sorted((names[i], names[j]))) for i, j in graph.edges)
     lines.extend(f"edge {u} {w}" for u, w in pairs)
     return "\n".join(lines) + "\n"
+
+
+def _minimum_degree_order(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Vertices in minimum-degree elimination order, ties to the lowest index.
+
+    Eliminating a vertex joins its remaining neighbors pairwise (the
+    fill-in) and changes their degrees; a heap keeps one entry per change
+    and skips the entries that are stale when they come up.  A tree is
+    taken leaf by leaf, which fills nothing in.
+    """
+    nbrs: list = [set(n) for n in adjacency]
+    heap = [(len(n), v) for v, n in enumerate(nbrs)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        around = nbrs[v]
+        if around is None or degree != len(around):
+            continue
+        nbrs[v] = None
+        order.append(v)
+        for u in around:
+            joined = nbrs[u]
+            joined |= around
+            joined.discard(u)
+            joined.discard(v)
+            heapq.heappush(heap, (len(joined), u))
+    return tuple(order)
+
+
+def _upper_rows(verts: list[Vertex], edges: tuple[tuple[int, int], ...],
+                order) -> list[dict[int, int]]:
+    """Nonzero entries on and above the diagonal of P^T I P, row k being
+    vertex order[k]."""
+    position = [0] * len(order)
+    for k, v in enumerate(order):
+        position[v] = k
+    upper = [{k: verts[v].euler} for k, v in enumerate(order)]
+    for i, j in edges:
+        a, b = position[i], position[j]
+        upper[min(a, b)][max(a, b)] = 1
+    return upper
 
 
 def _is_connected(adjacency: tuple[tuple[int, ...], ...]) -> bool:

@@ -19,9 +19,13 @@ the elimination stops there.  A negative definite matrix has no zero
 leading minor, so it never needs a row exchange.  The same factors then
 solve m x = b by one forward and one back substitution, for as many
 right-hand sides as asked.  Only nonzero entries take part, so the
-arithmetic is set by the fill-in: O(m^3) Fraction operations in the worst
-case, and O(m) on a tree whose rows come leaf first, where no entry fills
-in.
+arithmetic is set by the fill-in, and the fill-in by the row order:
+O(m^3) Fraction operations in the worst case, O(m) on a tree whose rows
+come leaf first.  The elimination takes the rows in the order it is
+given them.  A caller that chooses the order hands over P^T m P, which
+has the same determinant and is negative definite exactly when m is,
+and sets `Elimination.order`; `solve` then takes and returns vectors
+indexed by the rows of m.
 """
 
 from __future__ import annotations
@@ -39,21 +43,30 @@ class Elimination:
     `pivots` holds the diagonal of D as far as the elimination got; when
     it stopped early, `stopped_at` is the row of the first pivot >= 0,
     which is then the last entry of `pivots`.  `determinant` and `solve`
-    need the complete, negative definite factorization.
+    need the complete, negative definite factorization.  `order[k]` is
+    the row of the caller's matrix that was eliminated k-th: the identity
+    unless the caller handed its rows over permuted and says so here.
     """
 
-    __slots__ = ("size", "pivots", "stopped_at", "_columns")
+    __slots__ = ("size", "pivots", "stopped_at", "order", "_columns")
 
     def __init__(self, size: int, pivots: list[Fraction],
                  columns: list[tuple[tuple[int, Fraction], ...]]):
         self.size = size
         self.pivots = tuple(pivots)
         self.stopped_at = len(columns) if len(columns) < size else None
+        self.order = tuple(range(size))
         self._columns = tuple(columns)   # column k of L below the diagonal
 
     @property
     def negative_definite(self) -> bool:
         return self.stopped_at is None
+
+    @property
+    def l_nonzeros(self) -> int:
+        """Entries of L kept below the diagonal: the matrix's own
+        off-diagonal entries below it plus the fill-in."""
+        return sum(len(column) for column in self._columns)
 
     def _require_complete(self) -> None:
         if self.stopped_at is not None:
@@ -67,12 +80,12 @@ class Elimination:
         return prod(self.pivots, start=Fraction(1))
 
     def solve(self, b: Sequence) -> tuple[Fraction, ...]:
-        """Exact x with m x = b: L y = b, then D L^T x = y."""
+        """Exact x with m x = b: L y = P^T b, then D L^T P^T x = y."""
         self._require_complete()
         if len(b) != self.size:
             raise DimensionError(
                 f"right-hand side of length {len(b)} against {self.size} rows")
-        x = [Fraction(v) for v in b]
+        x = [Fraction(b[v]) for v in self.order]
         for k, column in enumerate(self._columns):
             if x[k]:
                 for i, factor in column:
@@ -82,7 +95,10 @@ class Elimination:
         for k in reversed(range(self.size)):
             for i, factor in self._columns[k]:
                 x[k] -= factor * x[i]
-        return tuple(x)
+        solution: list = [None] * self.size
+        for v, value in zip(self.order, x):
+            solution[v] = value
+        return tuple(solution)
 
 
 def eliminate_upper(upper: list[dict[int, Fraction | int]]) -> Elimination:

@@ -1,13 +1,17 @@
 """Property tests of the symmetric elimination against oracles that share
 no code with it: continued-fraction numerators for Hirzebruch-Jung chains,
-the orbifold Euler number for three-legged stars, Leibniz determinants of
-the leading minors, and integer row sums over the edge list.
+the orbifold Euler number for three-legged stars, Leibniz and Bareiss
+determinants of the leading minors in declaration order, integer row sums
+over the edge list, and the count of L's entries on trees.  Graphs are
+factored in an order of the program's choosing, so the graphs here are
+declared in random orders.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import re
 from fractions import Fraction
 from math import lcm, prod
@@ -21,7 +25,7 @@ from plumbook import (PlumbingGraph, ValidationError, canonical_cycle,
                       eliminate_upper, serialize_graph, solve_multiplicities)
 from plumbook.cli import main
 
-from .conftest import intersection_rows
+from .conftest import SEED, intersection_rows
 from .test_rational import leibniz_determinant
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -163,19 +167,117 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
         assert PlumbingGraph(vertices, edges).factors.determinant() == leibniz_determinant(rows)
 
 
-@st.composite
-def definite_graphs(draw):
-    """Connected graphs with e_v <= -deg_v: negative definite unless singular."""
-    m = draw(st.integers(1, 9))
-    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, m)}
-    pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
-                          .filter(lambda p: p[0] < p[1]), max_size=4))
-    degree = [sum(v in p for p in pairs) for v in range(m)]
-    vertices = [(f"v{i}", -degree[i] - draw(st.integers(0, 4)), draw(st.integers(0, 3)))
-                for i in range(m)]
+def bareiss_determinant(rows) -> int:
+    """Fraction-free Gaussian elimination over the integers (Bareiss 1968),
+    bringing up a later row when a pivot is zero."""
+    a = [list(r) for r in rows]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def first_failing_minor(rows, determinant) -> int | None:
+    """Least k whose k-th leading minor does not have the sign (-1)^k."""
+    return next((k for k in range(1, len(rows) + 1)
+                 if (-1) ** k * determinant([r[:k] for r in rows[:k]]) <= 0), None)
+
+
+def declare(euler, genus, pairs, order):
+    """Vertices v0, v1, ... with the given weights and edges (index pairs),
+    declared in `order`; with the integer intersection rows in that order."""
+    position = {v: k for k, v in enumerate(order)}
+    vertices = [(f"v{v}", euler[v], genus[v]) for v in order]
     edges = [(f"v{i}", f"v{j}") for i, j in sorted(pairs)]
-    binding = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    return vertices, edges, binding
+    rows = rows_of([euler[v] for v in order], [(position[i], position[j]) for i, j in pairs])
+    return vertices, edges, rows
+
+
+@st.composite
+def declared_graphs(draw, max_m, cycles, slack):
+    """A random recursive tree (vertex i joined to a uniform earlier one)
+    plus up to `cycles` more edges, e_v = -deg_v - slack, declared in a
+    random order."""
+    m = draw(st.integers(1, max_m))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, m)}
+    if cycles:
+        pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+                              .filter(lambda p: p[0] < p[1]), max_size=cycles))
+    degree = [sum(v in p for p in pairs) for v in range(m)]
+    euler = [-degree[v] - draw(slack) for v in range(m)]
+    genus = [draw(st.integers(0, 2)) for _ in range(m)]
+    return declare(euler, genus, pairs, draw(st.permutations(range(m))))
+
+
+def star_declared_centre_first(legs: int):
+    return declare([-legs - 1] + [-2] * legs, [0] * (legs + 1),
+                   {(0, v) for v in range(1, legs + 1)}, range(legs + 1))
+
+
+def tree_declared_root_first(m: int):
+    """A random recursive tree with e_v = -deg_v - 1; in declaration order
+    it fills in to O(m^2) entries."""
+    rng = random.Random(SEED)
+    pairs = {(rng.randrange(i), i) for i in range(1, m)}
+    degree = [sum(v in p for p in pairs) for v in range(m)]
+    return declare([-d - 1 for d in degree], [0] * m, pairs, range(m))
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=6, max_size=6), min_size=6, max_size=6),
+       st.integers(0, 6))
+def test_bareiss_determinant_is_the_leibniz_determinant(entries, n):
+    rows = [[entries[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    assert bareiss_determinant(rows) == leibniz_determinant(rows)
+
+
+@PROPERTY
+@given(declared_graphs(max_m=7, cycles=3, slack=st.integers(-2, 2)))
+@example(declare([-1, -2, -3, -1, -3], [0] * 5, {(0, 1), (0, 2), (1, 3), (2, 4)}, range(5)))
+def test_any_declaration_order_names_the_first_failing_leibniz_leading_minor(case):
+    vertices, edges, rows = case
+    failing = first_failing_minor(rows, leibniz_determinant)
+    if failing is None:
+        graph = PlumbingGraph(vertices, edges)
+        assert graph.factors.determinant() == leibniz_determinant(rows)
+        return
+    message = ("intersection matrix is not negative definite "
+               f"(pivot at vertex {vertices[failing - 1][0]})")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PlumbingGraph(vertices, edges)
+
+
+@PROPERTY
+@given(declared_graphs(max_m=16, cycles=4, slack=st.integers(0, 4)))
+@example(star_declared_centre_first(12))
+def test_any_declaration_order_factors_to_the_bareiss_determinant(case):
+    vertices, edges, rows = case
+    failing = first_failing_minor(rows, bareiss_determinant)
+    if failing is None:
+        determinant = PlumbingGraph(vertices, edges).factors.determinant()
+        assert determinant == bareiss_determinant(rows)
+    else:
+        with pytest.raises(ValidationError, match=rf"\(pivot at vertex {vertices[failing - 1][0]}\)$"):
+            PlumbingGraph(vertices, edges)
+
+
+@PROPERTY
+@given(declared_graphs(max_m=60, cycles=0, slack=st.integers(1, 3)))
+@example(star_declared_centre_first(40))
+@example(tree_declared_root_first(300))
+def test_a_tree_fills_nothing_in_whatever_its_declaration_order(case):
+    vertices, edges, _ = case
+    graph = PlumbingGraph(vertices, edges)
+    assert graph.factors.l_nonzeros == graph.m - 1
 
 
 def scaled_integral(vector) -> tuple[int, list[int]]:
@@ -184,9 +286,11 @@ def scaled_integral(vector) -> tuple[int, list[int]]:
 
 
 @PROPERTY
-@given(definite_graphs())
-def test_both_solves_satisfy_integer_row_sums(case):
-    vertices, edges, binding = case
+@given(declared_graphs(max_m=12, cycles=4, slack=st.integers(0, 4)),
+       st.lists(st.integers(1, 9), min_size=12, max_size=12))
+def test_both_solves_satisfy_integer_row_sums(case, binding):
+    vertices, edges, _ = case
+    binding = binding[:len(vertices)]
     try:
         graph = PlumbingGraph(vertices, edges)
     except ValidationError:

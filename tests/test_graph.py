@@ -164,6 +164,15 @@ class TestValidate:
         with pytest.raises(ValidationError, match=r"\(pivot at vertex a\)"):
             PlumbingGraph([("a", 0, 0)])
 
+    def test_rejection_names_the_declaration_order_vertex_not_the_factored_one(self):
+        # declaration order stops at D (pivots -1, -1, -1, 0); minimum degree
+        # eliminates D, E, B, C first and would stop at A
+        with pytest.raises(ValidationError) as caught:
+            PlumbingGraph([("A", -1, 0), ("B", -2, 0), ("C", -3, 0), ("D", -1, 0), ("E", -3, 0)],
+                          [("A", "B"), ("A", "C"), ("B", "D"), ("C", "E")])
+        assert str(caught.value) == \
+            "intersection matrix is not negative definite (pivot at vertex D)"
+
     def test_summary_and_adjacency_are_kept_on_the_graph(self, fixed_corpus):
         graph = fixed_corpus["d4"]
         assert graph.factors is graph.factors

@@ -102,6 +102,15 @@ class TestSolveAndInverse:
         with pytest.raises(ValidationError, match="pivot 0 is 0"):
             eliminate([[0, 0], [0, 0]]).solve((1, 1))
 
+    def test_permuted_rows_solve_in_the_callers_order(self):
+        # rows handed over as P^T m P with order[k] the row of m taken k-th
+        m = [[-3, 1, 0], [1, -2, 1], [0, 1, -4]]
+        order = (2, 0, 1)
+        factors = eliminate([[m[i][j] for j in order] for i in order])
+        factors.order = order
+        assert factors.determinant() == leibniz_determinant(m)
+        assert product(m, factors.solve((1, -2, 5))) == [1, -2, 5]
+
     def test_shape_mismatches(self):
         factors = eliminate([[-2, 1], [1, -2]])
         with pytest.raises(DimensionError):
