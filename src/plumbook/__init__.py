@@ -1,11 +1,11 @@
 """Exact invariants of negative-definite plumbing graphs.
 
-Everything runs over `fractions.Fraction`: intersection matrices,
-canonical cycles, minimal divisors with positive binding, horizontal
-open-book descriptions, smoothing invariants (mu, sigma, p_g) of one
-singularity family, and characteristic-number bookkeeping for replacing
-a curve-configuration neighborhood by a Milnor fiber.  No floating
-point is used anywhere.
+Intersection matrices, canonical cycles, minimal divisors with positive
+binding, horizontal open-book descriptions, smoothing invariants (mu,
+sigma, p_g) of one singularity family, and characteristic-number
+bookkeeping for replacing a curve-configuration neighborhood by a Milnor
+fiber, all exact: the linear algebra runs in Python ints, `Fraction`
+holds only rational results such as the canonical cycle, no floats.
 """
 
 from .canonical import CanonicalCycle, adjunction_rhs, canonical_cycle
@@ -23,7 +23,7 @@ from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
                        OpenBookDescription, build_open_book,
                        equivalence_certificate, solve_multiplicities,
                        verify_gluing)
-from .rational import Elimination, eliminate_upper, lcm_of_denominators
+from .rational import Elimination, eliminate_upper
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
 
@@ -61,7 +61,6 @@ __all__ = [
     "eliminate_upper",
     "equivalence_certificate",
     "family_resolution_graph",
-    "lcm_of_denominators",
     "milnor_fiber_invariants",
     "minimal_openbook_divisor",
     "openbook_condition",

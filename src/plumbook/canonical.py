@@ -39,7 +39,7 @@ def adjunction_rhs(graph: PlumbingGraph) -> tuple[int, ...]:
 def canonical_cycle(graph: PlumbingGraph) -> CanonicalCycle:
     """Solve the adjunction system exactly and report K^2 = r . rhs."""
     rhs = adjunction_rhs(graph)
-    coefficients = graph.factors.solve(rhs)
-    k_squared = sum((r * b for r, b in zip(coefficients, rhs)), Fraction(0))
-    return CanonicalCycle(coefficients=coefficients, k_squared=k_squared,
+    det, scaled = graph.factors.determinant(), graph.factors.solve_times_det(rhs)
+    return CanonicalCycle(coefficients=tuple(Fraction(y, det) for y in scaled),
+                          k_squared=Fraction(sum(y * b for y, b in zip(scaled, rhs)), det),
                           adjunction_rhs=rhs)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from .canonical import canonical_cycle
@@ -69,7 +70,7 @@ def _run_check(args) -> dict:
         "m": graph.m,
         "edges": len(graph.edges),
         "negative definite": True,
-        "determinant": graph.factors.determinant(),
+        "determinant": Fraction(graph.factors.determinant()),   # "-5" in JSON
         "h": graph.h,
         "chi of neighborhood": graph.chi_neighborhood,
         "cycle rank": graph.cycle_rank,

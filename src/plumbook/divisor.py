@@ -94,8 +94,8 @@ def minimal_openbook_divisor(graph: PlumbingGraph) -> MinimalDivisor:
     """
     thresholds = [min(-(deg + 2 * v.genus), -1)
                   for v, deg in zip(graph.vertices, graph.degrees)]
-    lower = graph.factors.solve(thresholds)
-    d = [max(1, -(-x.numerator // x.denominator)) for x in lower]
+    det = graph.factors.determinant()
+    d = [max(1, -(-y // det)) for y in graph.factors.solve_times_det(thresholds)]
     row = _intersection_with(graph, d)
     abs_e = [-v.euler for v in graph.vertices]
     queued = [r > c for r, c in zip(row, thresholds)]

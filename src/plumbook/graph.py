@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError, ValidationError
-from .rational import eliminate_upper
+from .rational import Elimination, eliminate_upper
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -51,10 +51,10 @@ class PlumbingGraph:
     negative definiteness by one symmetric elimination of the
     intersection matrix in minimum-degree order, and raises
     ValidationError on the first failure.  A definiteness failure names
-    the vertex whose pivot is the first >= 0 in declaration order, which
-    takes a second elimination in that order: another order can stop at
-    another vertex.  Euler numbers are not sign-checked on their own: a
-    nonnegative e_v always surfaces as a definiteness failure.
+    the vertex that closes the first leading block, in declaration order,
+    that is not negative definite (another order can stop elsewhere).
+    Euler numbers are not sign-checked on their own: a nonnegative e_v
+    always surfaces as a definiteness failure.
 
     Everything derived is fixed at construction: `ids`, `adjacency`
     (neighbor indices per vertex, ascending), `degrees`, `factors` (the
@@ -67,11 +67,7 @@ class PlumbingGraph:
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
-        verts = []
-        for v in vertices:
-            if not isinstance(v, Vertex):
-                v = Vertex(*v)
-            verts.append(v)
+        verts = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
         if not verts:
             raise ValidationError("a plumbing graph needs at least one vertex")
         index: dict[str, int] = {}
@@ -107,16 +103,18 @@ class PlumbingGraph:
         self.degrees: tuple[int, ...] = tuple(len(n) for n in nbrs)
         if not _is_connected(self.adjacency):
             raise ValidationError("graph is disconnected")
-        # P^T I P is negative definite exactly when I is, and has the same
-        # determinant, so the order is free to choose
-        order = _minimum_degree_order(self.adjacency)
-        self.factors = eliminate_upper(_upper_rows(verts, self.edges, order))
+        self.factors = _factor_leading(verts, self.edges, self.adjacency, self.m)
         if not self.factors.negative_definite:
-            stopped = eliminate_upper(_upper_rows(verts, self.edges, range(self.m))).stopped_at
-            raise ValidationError(
-                "intersection matrix is not negative definite "
-                f"(pivot at vertex {verts[stopped].id})")
-        self.factors.order = order
+            # blocks of a negative definite matrix are, so bisect on block size
+            definite, failing = 0, self.m
+            while failing - definite > 1:
+                k = (definite + failing) // 2
+                if _factor_leading(verts, self.edges, self.adjacency, k).negative_definite:
+                    definite = k
+                else:
+                    failing = k
+            raise ValidationError("intersection matrix is not negative definite "
+                                  f"(pivot at vertex {verts[failing - 1].id})")
         self.cycle_rank = len(self.edges) - self.m + 1
         self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
         self.chi_neighborhood = sum(2 - 2 * v.genus for v in verts) - len(self.edges)
@@ -212,7 +210,7 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimum_degree_order(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _minimum_degree_order(adjacency: list[list[int]]) -> tuple[int, ...]:
     """Vertices in minimum-degree elimination order, ties to the lowest index.
 
     Eliminating a vertex joins its remaining neighbors pairwise (the
@@ -240,18 +238,23 @@ def _minimum_degree_order(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, 
     return tuple(order)
 
 
-def _upper_rows(verts: list[Vertex], edges: tuple[tuple[int, int], ...],
-                order) -> list[dict[int, int]]:
-    """Nonzero entries on and above the diagonal of P^T I P, row k being
-    vertex order[k]."""
-    position = [0] * len(order)
-    for k, v in enumerate(order):
-        position[v] = k
-    upper = [{k: verts[v].euler} for k, v in enumerate(order)]
+def _factor_leading(verts: list[Vertex], edges: tuple[tuple[int, int], ...],
+                    adjacency: tuple[tuple[int, ...], ...], k: int) -> Elimination:
+    """Factors of the block of vertices 0..k-1, handed over as the upper
+    rows of P^T I P, P its own minimum-degree order: P^T I P has the
+    determinant of I and is negative definite exactly when I is."""
+    order = _minimum_degree_order([[j for j in adjacency[i] if j < k] for i in range(k)])
+    position = [0] * k
+    for p, v in enumerate(order):
+        position[v] = p
+    upper = [{p: verts[v].euler} for p, v in enumerate(order)]
     for i, j in edges:
-        a, b = position[i], position[j]
-        upper[min(a, b)][max(a, b)] = 1
-    return upper
+        if j < k:
+            a, b = position[i], position[j]
+            upper[min(a, b)][max(a, b)] = 1
+    factors = eliminate_upper(upper)
+    factors.order = order
+    return factors
 
 
 def _is_connected(adjacency: tuple[tuple[int, ...], ...]) -> bool:

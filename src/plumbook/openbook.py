@@ -2,8 +2,8 @@
 
 Given a positive integral binding vector n, the vertex multiplicities N
 solve N.I = -n; they are positive rationals on a negative-definite graph
-(-n.I^{-1} has positive entries).  Clearing denominators with the least
-k makes M = k.N integral, and the open book at vertex v then has
+(-n.I^{-1} has positive entries) with denominators dividing det I.  The
+least k making M = k.N integral gives the open book at vertex v with
 
     b_v = k n_v   binding circles,
     M_v           as the degree of the page over the vertex piece,
@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .divisor import binding_vector, minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
 from .graph import PlumbingGraph, serialize_graph
-from .rational import lcm_of_denominators
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,19 @@ def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, .
 
 
 def solve_multiplicities(graph: PlumbingGraph,
-                         binding: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact positive rational N with I.N = -n."""
+                         binding: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The positive rational N with I.N = -n as (k, M = k.N), k the least
+    making M integral: y = det(I) N is, so k = |det| / gcd(det, y)."""
     entries = _check_binding(graph, binding)
-    result = graph.factors.solve([-n for n in entries])
-    if any(x <= 0 for x in result):
+    det = graph.factors.determinant()
+    scaled = graph.factors.solve_times_det([-n for n in entries])
+    k = abs(det) // gcd(det, *scaled)
+    multiplicities = tuple(k * y // det for y in scaled)
+    if any(x <= 0 for x in multiplicities):
         raise ConsistencyError(
             "multiplicity solution has a nonpositive entry; "
             "the graph cannot have been negative definite")
-    return result
+    return k, multiplicities
 
 
 def build_open_book(graph: PlumbingGraph,
@@ -121,9 +123,8 @@ def build_open_book(graph: PlumbingGraph,
     `scale` defaults to the least k making k.N integral; an explicit
     scale must be a positive multiple of that minimum.
     """
-    rational_n = solve_multiplicities(graph, binding)   # checks the binding
+    minimal_scale, multiplicities = solve_multiplicities(graph, binding)   # checks the binding
     entries = tuple(int(n) for n in binding)
-    minimal_scale = lcm_of_denominators(rational_n)
     if scale is None:
         scale = minimal_scale
     else:
@@ -132,10 +133,9 @@ def build_open_book(graph: PlumbingGraph,
         if scale % minimal_scale != 0:
             raise ValidationError(
                 f"scale {scale} is not a multiple of the minimal scale {minimal_scale}")
-    multiplicities = tuple(int(scale * x) for x in rational_n)
+        multiplicities = tuple(scale // minimal_scale * x for x in multiplicities)
     binding_counts = tuple(scale * n for n in entries)
     names = graph.ids
-    degrees = graph.degrees
     outer_slopes = tuple((-v.euler * m, m)
                          for v, m in zip(graph.vertices, multiplicities))
     edge_curves = tuple(
@@ -149,7 +149,7 @@ def build_open_book(graph: PlumbingGraph,
     # contribute nothing.  Derived here, not a quoted formula.
     page_euler = sum(m * (2 - 2 * v.genus - deg - b)
                      for v, m, deg, b in zip(graph.vertices, multiplicities,
-                                             degrees, binding_counts))
+                                             graph.degrees, binding_counts))
     description = OpenBookDescription(
         graph=graph,
         scale=scale,

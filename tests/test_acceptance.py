@@ -84,9 +84,7 @@ def test_criterion_3_multiplicity_roundtrip(capsys, random_corpus):
                            f"{len(random_corpus)} random graphs"):
         assert len(random_corpus) >= 200
         for graph, d, n in random_corpus:
-            result = solve_multiplicities(graph, n)
-            assert result == tuple(Fraction(x) for x in d)
-            assert all(x.denominator == 1 for x in result)
+            assert solve_multiplicities(graph, n) == (1, tuple(d))
 
 
 def test_criterion_4_minimal_divisor_oracle(capsys, fixed_corpus):
@@ -119,7 +117,7 @@ def test_criterion_6_open_book_validity(capsys, random_corpus):
     with criterion(capsys, "vertex relation, positivity and gluing hold for "
                            "every random-corpus open book"):
         for graph, _, n in random_corpus:
-            assert all(x > 0 for x in solve_multiplicities(graph, n))
+            assert all(x > 0 for x in solve_multiplicities(graph, n)[1])
             book = build_open_book(graph, n)
             rows = intersection_rows(graph, list(book.multiplicities))
             assert rows == [-b for b in book.binding_counts]

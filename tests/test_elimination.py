@@ -1,10 +1,11 @@
 """Property tests of the symmetric elimination against oracles that share
 no code with it: continued-fraction numerators for Hirzebruch-Jung chains,
-the orbifold Euler number for three-legged stars, Leibniz and Bareiss
-determinants of the leading minors in declaration order, integer row sums
-over the edge list, and the count of L's entries on trees.  Graphs are
-factored in an order of the program's choosing, so the graphs here are
-declared in random orders.
+the orbifold Euler number for three-legged stars, Leibniz and dense
+Bareiss determinants of the leading minors, in declaration order and in
+the elimination's own order, integer row sums over the edge list, and the
+count of the factors' entries on trees.  Graphs are factored in an order
+of the program's choosing, so the graphs here are declared in random
+orders.
 """
 
 from __future__ import annotations
@@ -232,6 +233,19 @@ def tree_declared_root_first(m: int):
     return declare([-d - 1 for d in degree], [0] * m, pairs, range(m))
 
 
+@st.composite
+def chains_declared(draw):
+    """Hirzebruch-Jung chains of up to 24 vertices with |e| <= 300, one
+    vertex perhaps reweighted to -1, 0 or 1, declared in a random order."""
+    m = draw(st.integers(1, 24))
+    euler = draw(st.lists(st.integers(-300, -2), min_size=m, max_size=m))
+    spoiled = draw(st.none() | st.tuples(st.integers(0, m - 1), st.integers(-1, 1)))
+    if spoiled:
+        euler[spoiled[0]] = spoiled[1]
+    return declare(euler, [0] * m, {(i, i + 1) for i in range(m - 1)},
+                   draw(st.permutations(range(m))))
+
+
 @PROPERTY
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=6, max_size=6), min_size=6, max_size=6),
        st.integers(0, 6))
@@ -257,8 +271,10 @@ def test_any_declaration_order_names_the_first_failing_leibniz_leading_minor(cas
 
 
 @PROPERTY
-@given(declared_graphs(max_m=16, cycles=4, slack=st.integers(0, 4)))
+@given(declared_graphs(max_m=24, cycles=4, slack=st.integers(-1, 4)) | chains_declared())
 @example(star_declared_centre_first(12))
+@example(declare([-300, 0, -2], [0] * 3, {(0, 1), (1, 2)}, [2, 0, 1]))    # fails last
+@example(declare([-2, 1, -2], [0] * 3, {(0, 1), (1, 2)}, [1, 0, 2]))      # fails first
 def test_any_declaration_order_factors_to_the_bareiss_determinant(case):
     vertices, edges, rows = case
     failing = first_failing_minor(rows, bareiss_determinant)
@@ -280,6 +296,50 @@ def test_a_tree_fills_nothing_in_whatever_its_declaration_order(case):
     assert graph.factors.l_nonzeros == graph.m - 1
 
 
+def definite_graph(case) -> PlumbingGraph:
+    vertices, edges, _ = case
+    try:
+        return PlumbingGraph(vertices, edges)
+    except ValidationError:
+        assume(False)
+
+
+GRAPHS = declared_graphs(max_m=24, cycles=4, slack=st.integers(0, 4)) | chains_declared()
+
+
+@PROPERTY
+@given(GRAPHS, st.lists(st.integers(-9, 9), min_size=24, max_size=24))
+@example(star_declared_centre_first(12), [1] * 24)
+def test_solve_times_det_satisfies_integer_row_sums(case, b):
+    graph = definite_graph(case)
+    b = b[:graph.m]
+    y = graph.factors.solve_times_det(b)
+    assert all(isinstance(x, int) for x in y)
+    assert intersection_rows(graph, y) == [graph.factors.determinant() * x for x in b]
+
+
+@PROPERTY
+@given(GRAPHS)
+@example(star_declared_centre_first(12))
+def test_minors_are_the_leading_minors_of_the_matrix_in_elimination_order(case):
+    graph = definite_graph(case)
+    rows, order = case[2], graph.factors.order
+    permuted = [[rows[i][j] for j in order] for i in order]
+    assert graph.factors.minors == tuple(bareiss_determinant([r[:k] for r in permuted[:k]])
+                                         for k in range(graph.m + 1))
+
+
+def test_an_invalid_tree_is_rejected_in_logarithmically_many_factorizations(counted):
+    vertices, edges, _ = tree_declared_root_first(300)
+    vertices[-1] = ("v299", 0, 0)
+    with pytest.raises(ValidationError, match=r"\(pivot at vertex v299\)$"):
+        PlumbingGraph(vertices, edges)
+    # the whole graph, then one leading block per halving of 300 candidates
+    assert counted[0] == 300
+    assert len(counted) <= 1 + 9
+    assert all(size < 300 for size in counted[1:])
+
+
 def scaled_integral(vector) -> tuple[int, list[int]]:
     k = lcm(*(x.denominator for x in vector))
     return k, [int(k * x) for x in vector]
@@ -298,7 +358,7 @@ def test_both_solves_satisfy_integer_row_sums(case, binding):
     cycle = canonical_cycle(graph)
     k, r = scaled_integral(cycle.coefficients)
     assert intersection_rows(graph, r) == [k * b for b in cycle.adjunction_rhs]
-    k, multiplicities = scaled_integral(solve_multiplicities(graph, binding))
+    k, multiplicities = solve_multiplicities(graph, binding)
     assert intersection_rows(graph, multiplicities) == [-k * n for n in binding]
 
 

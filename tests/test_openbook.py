@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import pytest
 
@@ -17,22 +16,24 @@ from .conftest import intersection_rows
 
 
 class TestSolveMultiplicities:
+    # N comes back as (k, M = k.N) with the least k making M integral
     def test_family_binding(self, fixed_corpus):
         result = solve_multiplicities(fixed_corpus["family_n3"], (3, 57))
-        assert result == (30, 87)
+        assert result == (1, (30, 87))
 
     def test_fractional_result(self, fixed_corpus):
-        assert solve_multiplicities(fixed_corpus["a1"], (1,)) == (Fraction(1, 2),)
+        # N = (1/2,)
+        assert solve_multiplicities(fixed_corpus["a1"], (1,)) == (2, (1,))
 
     def test_defining_equation(self, random_corpus):
         for graph, _, n in random_corpus[:40]:
-            result = solve_multiplicities(graph, n)
-            assert all(x > 0 for x in result)
+            k, integral = solve_multiplicities(graph, n)
+            assert all(x > 0 for x in integral)
             # I.(kN) = -k n, checked in integer arithmetic
-            k = lcm(*(x.denominator for x in result))
-            integral = [int(k * x) for x in result]
-            rows = intersection_rows(graph, integral)
+            rows = intersection_rows(graph, list(integral))
             assert rows == [-k * v for v in n]
+            # k is the least: a smaller common scale leaves some M_i / k' fractional
+            assert gcd(k, *integral) == 1
 
     def test_rejects_bad_binding(self, fixed_corpus):
         graph = fixed_corpus["family_n3"]
@@ -181,7 +182,7 @@ class TestEquivalenceCertificate:
                                 lambda graph: MinimalDivisor((31, 87), (3, 57)))
         else:
             monkeypatch.setattr(plumbook.openbook, "solve_multiplicities",
-                                lambda graph, binding: (Fraction(31), Fraction(87)))
+                                lambda graph, binding: (1, (31, 87)))
         if tamper == "solve, gluing unchecked":
             monkeypatch.setattr(plumbook.openbook, "verify_gluing",
                                 lambda description: GluingCheck(ok=True, failures=()))

@@ -1,11 +1,9 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from plumbook import (DimensionError, ValidationError, eliminate_upper,
-                      lcm_of_denominators)
+from plumbook import DimensionError, ValidationError, eliminate_upper
 
 from .conftest import SEED
 
@@ -62,9 +60,9 @@ class TestDeterminant:
         assert eliminate([[-3, 1], [1, -1]]).determinant() == 2
 
     def test_singular_is_zero(self):
-        # a null direction: the last leading minor, and so the last pivot, is 0
+        # a null direction: the last leading minor is 0
         factors = eliminate([[-1, 1], [1, -1]])
-        assert factors.pivots == (-1, 0)
+        assert factors.minors == (1, -1, 0)
         assert factors.stopped_at == 1
         with pytest.raises(ValidationError, match="not negative definite"):
             factors.determinant()
@@ -73,34 +71,44 @@ class TestDeterminant:
         rng = random.Random(SEED)
         for _ in range(120):
             rows = random_negative_definite(rng, rng.randint(1, 4))
-            assert eliminate(rows).determinant() == leibniz_determinant(rows)
+            factors = eliminate(rows)
+            assert factors.determinant() == leibniz_determinant(rows)
+            assert factors.minors == tuple(leibniz_determinant([r[:k] for r in rows[:k]])
+                                           for k in range(len(rows) + 1))
 
-    def test_exact_on_rational_entries(self):
-        m = [[Fraction(-1, 2), Fraction(1, 5)], [Fraction(1, 5), Fraction(-1, 3)]]
-        assert eliminate(m).determinant() == Fraction(1, 6) - Fraction(1, 25)
+    def test_exact_on_large_entries(self):
+        # minors far past 64 bits: every division must still be exact
+        big = 10 ** 30
+        m = [[-3 * big, big + 7, 5], [big + 7, -2 * big, big - 1], [5, big - 1, -4 * big]]
+        factors = eliminate(m)
+        assert factors.minors == tuple(leibniz_determinant([r[:k] for r in m[:k]])
+                                       for k in range(4))
+        y = factors.solve_times_det((1, -2, 3))
+        assert product(m, y) == [factors.determinant() * b for b in (1, -2, 3)]
 
 
 class TestSolveAndInverse:
+    # solve_times_det returns det(m) m^-1 b; det [[-3, 1], [1, -1]] = 2
     def test_adjunction_solution(self):
         m = [[-3, 1], [1, -1]]
-        assert eliminate(m).solve((3, 55)) == (-29, -84)
+        assert eliminate(m).solve_times_det((3, 55)) == (2 * -29, 2 * -84)
 
     def test_divisor_solution(self):
         m = [[-3, 1], [1, -1]]
-        assert eliminate(m).solve((-3, -57)) == (30, 87)
+        assert eliminate(m).solve_times_det((-3, -57)) == (2 * 30, 2 * 87)
 
     def test_inverse_two_by_two(self):
-        # the columns of the inverse are the solutions for the unit vectors
+        # the solutions for the unit vectors are the columns of det(m) m^-1,
+        # the adjugate
         factors = eliminate([[-2, 1], [1, -2]])
-        third = Fraction(1, 3)
-        assert factors.solve((1, 0)) == (-2 * third, -third)
-        assert factors.solve((0, 1)) == (-third, -2 * third)
+        assert factors.solve_times_det((1, 0)) == (-2, -1)
+        assert factors.solve_times_det((0, 1)) == (-1, -2)
 
     def test_singular_raises(self):
-        with pytest.raises(ValidationError, match="pivot 1 is 0"):
-            eliminate([[-1, 1], [1, -1]]).solve((1, 1))
-        with pytest.raises(ValidationError, match="pivot 0 is 0"):
-            eliminate([[0, 0], [0, 0]]).solve((1, 1))
+        with pytest.raises(ValidationError, match="leading minors 1 and 2 are -1 and 0"):
+            eliminate([[-1, 1], [1, -1]]).solve_times_det((1, 1))
+        with pytest.raises(ValidationError, match="leading minors 0 and 1 are 1 and 0"):
+            eliminate([[0, 0], [0, 0]]).solve_times_det((1, 1))
 
     def test_permuted_rows_solve_in_the_callers_order(self):
         # rows handed over as P^T m P with order[k] the row of m taken k-th
@@ -108,13 +116,14 @@ class TestSolveAndInverse:
         order = (2, 0, 1)
         factors = eliminate([[m[i][j] for j in order] for i in order])
         factors.order = order
-        assert factors.determinant() == leibniz_determinant(m)
-        assert product(m, factors.solve((1, -2, 5))) == [1, -2, 5]
+        det = leibniz_determinant(m)
+        assert factors.determinant() == det
+        assert product(m, factors.solve_times_det((1, -2, 5))) == [det, -2 * det, 5 * det]
 
     def test_shape_mismatches(self):
         factors = eliminate([[-2, 1], [1, -2]])
         with pytest.raises(DimensionError):
-            factors.solve((1, 2, 3))
+            factors.solve_times_det((1, 2, 3))
 
     def test_random_solve_and_inverse_are_exact(self):
         rng = random.Random(SEED + 1)
@@ -122,12 +131,14 @@ class TestSolveAndInverse:
             n = rng.randint(1, 5)
             m = random_negative_definite(rng, n)
             factors = eliminate(m)
+            det = leibniz_determinant(m)
             b = [rng.randint(-9, 9) for _ in range(n)]
-            assert product(m, factors.solve(b)) == b
+            assert product(m, factors.solve_times_det(b)) == [det * x for x in b]
             units = [[int(i == j) for i in range(n)] for j in range(n)]
-            columns = [factors.solve(unit) for unit in units]
-            # m times the inverse, column by column, is the identity
-            assert [product(m, column) for column in columns] == units
+            columns = [factors.solve_times_det(unit) for unit in units]
+            # m times the adjugate, column by column, is det times the identity
+            assert [product(m, column) for column in columns] == \
+                [[det * x for x in unit] for unit in units]
 
 
 class TestNegativeDefinite:
@@ -158,10 +169,3 @@ class TestNegativeDefinite:
         # the sample must exercise both outcomes to mean anything
         assert 0 < agree_positive < 200
 
-
-class TestHelpers:
-    def test_lcm_of_denominators(self):
-        assert lcm_of_denominators([Fraction(1, 2), Fraction(5, 6)]) == 6
-        assert lcm_of_denominators([Fraction(3), 7]) == 1
-        assert lcm_of_denominators([]) == 1
-        assert lcm_of_denominators([Fraction(30, 1), Fraction(87, 1)]) == 1
