@@ -105,7 +105,7 @@ class PlumbingGraph:
             raise ValidationError("graph is disconnected")
         self.factors = _factor_leading(verts, self.edges, self.adjacency, self.m)
         if not self.factors.negative_definite:
-            # blocks of a negative definite matrix are, so bisect on block size
+            # every leading block of a negative definite matrix is one: bisect
             definite, failing = 0, self.m
             while failing - definite > 1:
                 k = (definite + failing) // 2
