@@ -4,14 +4,14 @@
         --note "what the change does" --claim-workload random_plumbing \\
         --claim-metric ops_per_s
 
-For every workload in the change's BENCHMARK.json and every seed, this
-runs `perfbench/run.py --trace 0` once in each checkout, one process at a
-time, the side that runs first alternating from pair to pair.  Then it
-makes one `--trace 1` run per side and workload on --trace-seed.  It
-writes BENCH_<pr>.json into the change checkout: per workload and
-end-to-end metric, every run, each side's median and quartiles, the
-ratio of the medians and the pairs the change won; per workload, the
-per-layer means of the traced runs.  The claim is met when the change
+For every workload in the change's BENCHMARK.json and each of SEEDS, this
+runs `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds once in
+each checkout, one process at a time, the side that runs first
+alternating from pair to pair.  Then it makes one `--trace 1` run per
+side and workload on TRACE_SEED.  It writes BENCH_<pr>.json into the
+change checkout: per workload and end-to-end metric, every run, each
+side's median and quartiles, the ratio of the medians and the pairs the
+change won; per workload, the per-layer means of the traced runs.  The claim is met when the change
 wins at least nine tenths of the pairs on the claimed workload and
 metric, and its median beats the parent's by more than the distance
 between the parent's quartiles.
@@ -31,7 +31,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-DEFAULT_SEEDS = "7919,1,2,3,4,5,6,8,9,10"   # the first is held back while developing
+SEEDS = (7919, 1, 2, 3, 4, 5, 6, 8, 9, 10)   # the first is held back while developing
+TRACE_SEED = 1
 
 
 def benchmark_files(root: str) -> dict[str, bytes]:
@@ -95,10 +96,6 @@ def main() -> int:
     parser.add_argument("--note", required=True, help="what the change does, in one line")
     parser.add_argument("--claim-workload", required=True)
     parser.add_argument("--claim-metric", required=True)
-    parser.add_argument("--seeds", default=DEFAULT_SEEDS, help="comma-separated; one pair each")
-    parser.add_argument("--seconds", type=float, help="run length; BENCHMARK.json's by default")
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--workloads", help="comma-separated subset; all by default")
     args = parser.parse_args()
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -107,34 +104,34 @@ def main() -> int:
         return 1
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    seconds = args.seconds or benchmark["run_seconds"]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = benchmark["run_seconds"]
     names = [w["name"] for w in benchmark["workloads"]]
-    if args.workloads:
-        names = [n for n in names if n in args.workloads.split(",")]
+    if args.claim_workload not in names or args.claim_metric not in {
+            spec["name"] for spec in benchmark["end_to_end"]}:
+        parser.error("the claim must name a workload and an end-to-end metric of BENCHMARK.json")
     layer_names = [spec["name"] for spec in benchmark["per_layer"]]
 
     workloads, layers = {}, {}
     for workload in names:
         results: dict = {side: [] for side in SIDES}
         first = []
-        for pair, seed in enumerate(seeds):
+        for pair, seed in enumerate(SEEDS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             first.append(order[0])
             for side in order:
                 print(f"{workload} seed {seed} {side}", file=sys.stderr, flush=True)
                 results[side].append(run(roots[side], workload, seed, seconds, 0))
         workloads[workload] = {
-            "pairs": len(seeds),
-            "runs": 2 * len(seeds),
-            "seeds": seeds,
+            "pairs": len(SEEDS),
+            "runs": 2 * len(SEEDS),
+            "seeds": list(SEEDS),
             "first_side": first,
             "attempted_failed_correct": {
                 side: [[r["attempted"], r["failed"], r["correct"]] for r in results[side]]
                 for side in SIDES},
             "metrics": {spec["name"]: compare(results, spec) for spec in benchmark["end_to_end"]},
         }
-        traced = {side: run(roots[side], workload, args.trace_seed, seconds, 1)["metrics"]
+        traced = {side: run(roots[side], workload, TRACE_SEED, seconds, 1)["metrics"]
                   for side in SIDES}
         layers[workload] = {name: {side: round(traced[side][name]["value"], 4) for side in SIDES}
                             for name in layer_names if name in traced["parent"]}
@@ -148,21 +145,20 @@ def main() -> int:
                   "the side that runs first alternating from pair to pair; each side in its "
                   "own checkout, one benchmark process at a time (scripts/bench_pairs.py)",
     }
-    if args.claim_workload in workloads:
-        metric = workloads[args.claim_workload]["metrics"][args.claim_metric]
-        report["claim"] = {
-            "workload": args.claim_workload,
-            "metric": args.claim_metric,
-            "held_back_seed": seeds[0],
-            "met": claim_met(metric),
-            "note": f"the change is better in {metric['change_better_pairs']} of "
-                    f"{len(seeds)} pairs; medians {metric['parent']['median']} (parent, "
-                    f"quartiles {metric['parent']['q1']}-{metric['parent']['q3']}) and "
-                    f"{metric['change']['median']} (change)",
-        }
+    metric = workloads[args.claim_workload]["metrics"][args.claim_metric]
+    report["claim"] = {
+        "workload": args.claim_workload,
+        "metric": args.claim_metric,
+        "held_back_seed": SEEDS[0],
+        "met": claim_met(metric),
+        "note": f"the change is better in {metric['change_better_pairs']} of "
+                f"{len(SEEDS)} pairs; medians {metric['parent']['median']} (parent, "
+                f"quartiles {metric['parent']['q1']}-{metric['parent']['q3']}) and "
+                f"{metric['change']['median']} (change)",
+    }
     report["workloads"] = workloads
-    report[f"per_layer_seed_{args.trace_seed}"] = {
-        "method": f"perfbench/run.py --workload W --seed {args.trace_seed} --seconds {seconds:g} "
+    report[f"per_layer_seed_{TRACE_SEED}"] = {
+        "method": f"perfbench/run.py --workload W --seed {TRACE_SEED} --seconds {seconds:g} "
                   "--trace 1 on each side, once; mean per operation",
         "workloads": layers,
     }
