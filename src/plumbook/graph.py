@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,7 +68,11 @@ class PlumbingGraph:
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
-        verts = [v if isinstance(v, Vertex) else Vertex(*v) for v in vertices]
+        verts = []
+        for v in vertices:
+            if not isinstance(v, Vertex):
+                v = Vertex(*v)
+            verts.append(v)
         if not verts:
             raise ValidationError("a plumbing graph needs at least one vertex")
         index: dict[str, int] = {}
@@ -106,13 +111,8 @@ class PlumbingGraph:
         self.factors = _factor_leading(verts, self.edges, self.adjacency, self.m)
         if not self.factors.negative_definite:
             # every leading block of a negative definite matrix is one: bisect
-            definite, failing = 0, self.m
-            while failing - definite > 1:
-                k = (definite + failing) // 2
-                if _factor_leading(verts, self.edges, self.adjacency, k).negative_definite:
-                    definite = k
-                else:
-                    failing = k
+            failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: not _factor_leading(
+                verts, self.edges, self.adjacency, k).negative_definite)
             raise ValidationError("intersection matrix is not negative definite "
                                   f"(pivot at vertex {verts[failing - 1].id})")
         self.cycle_rank = len(self.edges) - self.m + 1
@@ -210,7 +210,7 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimum_degree_order(adjacency: list[list[int]]) -> tuple[int, ...]:
+def _minimum_degree_order(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Vertices in minimum-degree elimination order, ties to the lowest index.
 
     Eliminating a vertex joins its remaining neighbors pairwise (the
@@ -241,9 +241,8 @@ def _minimum_degree_order(adjacency: list[list[int]]) -> tuple[int, ...]:
 def _factor_leading(verts: list[Vertex], edges: tuple[tuple[int, int], ...],
                     adjacency: tuple[tuple[int, ...], ...], k: int) -> Elimination:
     """Factors of the block of vertices 0..k-1, handed over as the upper
-    rows of P^T I P, P its own minimum-degree order: P^T I P has the
-    determinant of I and is negative definite exactly when I is."""
-    order = _minimum_degree_order([[j for j in adjacency[i] if j < k] for i in range(k)])
+    rows of P^T I P, P the block's own minimum-degree order."""
+    order = _minimum_degree_order(tuple(tuple(j for j in a if j < k) for a in adjacency[:k]))
     position = [0] * k
     for p, v in enumerate(order):
         position[v] = p

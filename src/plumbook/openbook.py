@@ -136,6 +136,7 @@ def build_open_book(graph: PlumbingGraph,
         multiplicities = tuple(scale // minimal_scale * x for x in multiplicities)
     binding_counts = tuple(scale * n for n in entries)
     names = graph.ids
+    degrees = graph.degrees
     outer_slopes = tuple((-v.euler * m, m)
                          for v, m in zip(graph.vertices, multiplicities))
     edge_curves = tuple(
@@ -149,7 +150,7 @@ def build_open_book(graph: PlumbingGraph,
     # contribute nothing.  Derived here, not a quoted formula.
     page_euler = sum(m * (2 - 2 * v.genus - deg - b)
                      for v, m, deg, b in zip(graph.vertices, multiplicities,
-                                             graph.degrees, binding_counts))
+                                             degrees, binding_counts))
     description = OpenBookDescription(
         graph=graph,
         scale=scale,
