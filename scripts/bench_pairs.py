@@ -1,8 +1,8 @@
 """Paired benchmark runs of a parent checkout against a change checkout.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr 9 \\
-        --note "what the change does" --claim-workload random_plumbing \\
-        --claim-metric ops_per_s
+        --note "what the change does" [--claim-workload random_plumbing \\
+        --claim-metric ops_per_s]
 
 For every workload in the change's BENCHMARK.json and each of SEEDS, this
 runs `perfbench/run.py --trace 0` for BENCHMARK.json's run_seconds once in
@@ -11,7 +11,10 @@ alternating from pair to pair.  Then it makes one `--trace 1` run per
 side and workload on TRACE_SEED.  It writes BENCH_<pr>.json into the
 change checkout: per workload and end-to-end metric, every run, each
 side's median and quartiles, the ratio of the medians and the pairs the
-change won; per workload, the per-layer means of the traced runs.  The claim is met when the change
+change won, and whether the change's median stays within the metric's
+relative bound of the parent's; per workload, the per-layer means of the
+traced runs.  A claim names a workload and a metric, or neither is given
+and the file records "claim": null.  The claim is met when the change
 wins at least nine tenths of the pairs on the claimed workload and
 metric, and its median beats the parent's by more than the distance
 between the parent's quartiles.
@@ -64,6 +67,13 @@ def better(a: float, b: float, direction: str) -> bool:
     return a > b if direction == "higher" else a < b
 
 
+def within_bound(parent: float, change: float, spec: dict) -> bool:
+    """The change is no worse than the parent by more than the relative bound."""
+    if spec["better"] == "higher":
+        return change >= parent * (1 - spec["bound"])
+    return change <= parent * (1 + spec["bound"])
+
+
 def compare(results: dict, spec: dict) -> dict:
     runs = {side: [r["metrics"][spec["name"]]["value"] for r in results[side]] for side in SIDES}
     stats = {side: summary(runs[side]) for side in SIDES}
@@ -75,6 +85,8 @@ def compare(results: dict, spec: dict) -> dict:
         "change_over_parent": round(stats["change"]["median"] / stats["parent"]["median"], 4),
         "change_better_pairs": sum(better(c, p, spec["better"])
                                    for p, c in zip(runs["parent"], runs["change"])),
+        "bound": spec["bound"],
+        "within_bound": within_bound(stats["parent"]["median"], stats["change"]["median"], spec),
         "runs": {side: [round(v, 6) for v in runs[side]] for side in SIDES},
     }
 
@@ -94,9 +106,12 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--note", required=True, help="what the change does, in one line")
-    parser.add_argument("--claim-workload", required=True)
-    parser.add_argument("--claim-metric", required=True)
+    parser.add_argument("--claim-workload", help="workload of the claimed gain, if any")
+    parser.add_argument("--claim-metric", help="end-to-end metric of the claimed gain, if any")
     args = parser.parse_args()
+    claim = args.claim_workload is not None
+    if claim != (args.claim_metric is not None):
+        parser.error("give both --claim-workload and --claim-metric, or neither")
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     if benchmark_files(roots["parent"]) != benchmark_files(roots["change"]):
@@ -106,8 +121,8 @@ def main() -> int:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
     names = [w["name"] for w in benchmark["workloads"]]
-    if args.claim_workload not in names or args.claim_metric not in {
-            spec["name"] for spec in benchmark["end_to_end"]}:
+    if claim and (args.claim_workload not in names or args.claim_metric not in {
+            spec["name"] for spec in benchmark["end_to_end"]}):
         parser.error("the claim must name a workload and an end-to-end metric of BENCHMARK.json")
     layer_names = [spec["name"] for spec in benchmark["per_layer"]]
 
@@ -145,17 +160,19 @@ def main() -> int:
                   "the side that runs first alternating from pair to pair; each side in its "
                   "own checkout, one benchmark process at a time (scripts/bench_pairs.py)",
     }
-    metric = workloads[args.claim_workload]["metrics"][args.claim_metric]
-    report["claim"] = {
-        "workload": args.claim_workload,
-        "metric": args.claim_metric,
-        "held_back_seed": SEEDS[0],
-        "met": claim_met(metric),
-        "note": f"the change is better in {metric['change_better_pairs']} of "
-                f"{len(SEEDS)} pairs; medians {metric['parent']['median']} (parent, "
-                f"quartiles {metric['parent']['q1']}-{metric['parent']['q3']}) and "
-                f"{metric['change']['median']} (change)",
-    }
+    report["claim"] = None
+    if claim:
+        metric = workloads[args.claim_workload]["metrics"][args.claim_metric]
+        report["claim"] = {
+            "workload": args.claim_workload,
+            "metric": args.claim_metric,
+            "held_back_seed": SEEDS[0],
+            "met": claim_met(metric),
+            "note": f"the change is better in {metric['change_better_pairs']} of "
+                    f"{len(SEEDS)} pairs; medians {metric['parent']['median']} (parent, "
+                    f"quartiles {metric['parent']['q1']}-{metric['parent']['q3']}) and "
+                    f"{metric['change']['median']} (change)",
+        }
     report["workloads"] = workloads
     report[f"per_layer_seed_{TRACE_SEED}"] = {
         "method": f"perfbench/run.py --workload W --seed {TRACE_SEED} --seconds {seconds:g} "

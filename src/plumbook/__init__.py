@@ -19,10 +19,9 @@ from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, specialized, surface_mu)
 from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
-from .openbook import (EdgeCurve, EquivalenceCertificate, GluingCheck,
-                       OpenBookDescription, build_open_book,
-                       equivalence_certificate, solve_multiplicities,
-                       verify_gluing)
+from .openbook import (EdgeCurve, EquivalenceCertificate, OpenBookDescription,
+                       build_open_book, equivalence_certificate,
+                       solve_multiplicities, verify_gluing)
 from .rational import Elimination, eliminate_upper
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
@@ -40,7 +39,6 @@ __all__ = [
     "Elimination",
     "EquivalenceCertificate",
     "FamilyParams",
-    "GluingCheck",
     "MinimalDivisor",
     "OpenBookDescription",
     "ParseError",

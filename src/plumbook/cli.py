@@ -124,7 +124,7 @@ def _describe_open_book(description: OpenBookDescription) -> dict:
         "page euler": description.page_euler,
         "page euler note": _PAGE_EULER_NOTE,
         "boundary components": description.boundary_components,
-        "gluing verified": description.gluing.ok,
+        "gluing verified": True,   # build_open_book raised otherwise
     }
 
 
@@ -207,7 +207,7 @@ def _family_member(s: int, t: int | None, N: int) -> dict:
         "p_g": invariants.p_g,
         "b1": invariants.b1,
     }
-    if s == 3 and params.t == default_t(N) and (N - 1) % 3 != 0:
+    if s == 3 and params.t == default_t(N):
         closed = closed_form_check(N)
         report["closed form mu"] = closed.mu
         report["closed form sigma"] = closed.sigma
