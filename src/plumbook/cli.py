@@ -19,6 +19,7 @@ or validation error, 2 internal-consistency failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -288,7 +289,9 @@ def _run_surgery(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="plumbook",
                      description="exact invariants of negative-definite plumbing graphs")
     subcommands = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -41,18 +41,19 @@ from .graph import PlumbingGraph, Vertex
 class FamilyParams:
     """Exponents (s, t, N) of one member of the family.
 
-    Constraints, checked on construction: s, t >= 1; N >= 3; N-1 divides
-    s+t; the two genus formulas produce integers; gcd(N-1, t) = 1.
+    Constraints, checked on construction in this order (N first, since
+    the CLI derives t from N): N >= 3; s, t >= 1; N-1 divides s+t; the
+    two genus formulas produce integers; gcd(N-1, t) = 1.
     """
     s: int
     t: int
     N: int
 
     def __post_init__(self):
-        if self.s < 1 or self.t < 1:
-            raise ValidationError(f"s and t must be positive, got s={self.s}, t={self.t}")
         if self.N < 3:
             raise ValidationError(f"N must be at least 3, got N={self.N}")
+        if self.s < 1 or self.t < 1:
+            raise ValidationError(f"s and t must be positive, got s={self.s}, t={self.t}")
         if (self.s + self.t) % (self.N - 1) != 0:
             raise ValidationError(
                 f"N-1 = {self.N - 1} must divide s+t = {self.s + self.t}")

@@ -11,6 +11,7 @@ import plumbook
 from plumbook.cli import build_parser, main
 
 from .conftest import intersection_rows, is_feasible
+from .test_golden import CASES, GOLDEN
 
 N3_TEXT = """\
 vertex a e=-3 g=1
@@ -242,6 +243,13 @@ class TestFamily:
         assert code == 1
         assert "gcd" in err
 
+    def test_small_N_is_named_before_the_derived_t(self, capsys):
+        # t defaults to 30N - 33, which is negative for N = 1
+        code, out, err = run(capsys, "family", "--N", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: N must be at least 3, got N=1\n"
+
     def test_requires_N_or_sweep(self, capsys):
         code, _, err = run(capsys, "family")
         assert code == 1
@@ -413,6 +421,55 @@ class TestDeterminism:
         assert keys == ["vertices", "m", "edges", "negative definite",
                         "determinant", "h", "chi of neighborhood",
                         "cycle rank", "degrees"]
+
+
+# argv that end in argparse: usage errors (exit 64) and help (exit 0)
+PARSER_EXITS = [
+    ["frobnicate"],
+    [],
+    ["check", "-i", str(GOLDEN / "a1.pg"), "--frobnicate"],
+    ["check"],
+    ["family", "--N", "x"],
+    ["openbook", "-i", str(GOLDEN / "a1.pg"), "--k", "1.5"],
+    ["surgery", "--N", "3", "--chi", "1"],
+    ["--help"],
+    *([name, "--help"] for name in ("check", "canonical", "divisor", "openbook",
+                                     "family", "surgery")),
+]
+
+
+def fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    """`python -m plumbook.cli argv` in a new interpreter."""
+    package_root = Path(plumbook.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root), COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "plumbook.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    """`main` builds the parser once per process; no call may see another's state."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_every_golden_argv_twice(self, capsys):
+        for _ in range(2):
+            for case in sorted(CASES):
+                code, out, err = run(capsys, *CASES[case])
+                assert (code, err) == (0, ""), case
+                assert out == (GOLDEN / case).read_text(encoding="utf-8"), case
+
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_parser_exit_twice_matches_a_fresh_process(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        ok_argv = CASES["a1/openbook-n.json"]
+        ok_out = (GOLDEN / "a1/openbook-n.json").read_text(encoding="utf-8")
+        expected = fresh_process(argv)
+        assert expected[0] in (0, 64), expected
+        for _ in range(2):
+            assert run(capsys, *ok_argv) == (0, ok_out, "")
+            assert run(capsys, *argv) == expected
 
 
 class TestConsoleScript:
