@@ -9,9 +9,8 @@ holds only rational results such as the canonical cycle, no floats.
 """
 
 from .canonical import CanonicalCycle, adjunction_rhs, canonical_cycle
-from .divisor import (ConditionReport, MinimalDivisor, binding_vector,
-                      minimal_openbook_divisor, openbook_condition,
-                      scale_divisor)
+from .divisor import (ConditionReport, MinimalDivisor, minimal_openbook_divisor,
+                      openbook_condition, scale_divisor)
 from .errors import (ConsistencyError, DimensionError, ParseError,
                      PlumbookError, ValidationError)
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
@@ -19,9 +18,8 @@ from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, specialized, surface_mu)
 from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
-from .openbook import (EdgeCurve, EquivalenceCertificate, OpenBookDescription,
-                       build_open_book, equivalence_certificate,
-                       solve_multiplicities, verify_gluing)
+from .openbook import (EdgeCurve, OpenBookDescription, build_open_book,
+                       minimal_open_book, solve_multiplicities, verify_gluing)
 from .rational import Elimination, eliminate_upper
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
@@ -37,7 +35,6 @@ __all__ = [
     "DimensionError",
     "EdgeCurve",
     "Elimination",
-    "EquivalenceCertificate",
     "FamilyParams",
     "MinimalDivisor",
     "OpenBookDescription",
@@ -50,16 +47,15 @@ __all__ = [
     "Vertex",
     "__version__",
     "adjunction_rhs",
-    "binding_vector",
     "brieskorn_mu",
     "build_open_book",
     "canonical_cycle",
     "closed_form_check",
     "default_t",
     "eliminate_upper",
-    "equivalence_certificate",
     "family_resolution_graph",
     "milnor_fiber_invariants",
+    "minimal_open_book",
     "minimal_openbook_divisor",
     "openbook_condition",
     "parse_graph",

@@ -42,9 +42,6 @@ class ConditionReport:
     holds: bool
     slacks: tuple[int, ...]
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 class MinimalDivisor(NamedTuple):
     divisor: tuple[int, ...]
@@ -56,12 +53,6 @@ def _intersection_with(graph: PlumbingGraph, vec: Sequence[int]) -> list[int]:
     adjacency = graph.adjacency
     return [graph.vertices[i].euler * vec[i] + sum(vec[j] for j in adjacency[i])
             for i in range(graph.m)]
-
-
-def binding_vector(graph: PlumbingGraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    """n = -I.d for an integral divisor d."""
-    _check_divisor(graph, divisor)
-    return tuple(-x for x in _intersection_with(graph, list(divisor)))
 
 
 def _check_divisor(graph: PlumbingGraph, divisor: Sequence[int]) -> None:

@@ -13,14 +13,15 @@ Text format (UTF-8, line oriented)::
     vertex <id> e=<int> g=<uint>
     edge <id> <id>
 
-'#' starts a comment, blank lines are ignored, ids match [A-Za-z0-9_]+,
-and a vertex must be declared before any edge mentions it.  Vertex
-declaration order is significant: it fixes the order of every vector
-indexed by vertices and of every report.  It does not fix the order in
-which the intersection matrix is factored: the constructor eliminates by
-minimum degree, whatever the file's order.  The canonical serializer
-emits vertices in declaration order followed by edges sorted
-lexicographically.
+Lines end at LF, CR LF or CR only: a form feed or a Unicode line
+separator inside a line is whitespace.  '#' starts a comment, blank
+lines are ignored, ids match [A-Za-z0-9_]+, and a vertex must be
+declared before any edge mentions it.  Vertex declaration order is
+significant: it fixes the order of every vector indexed by vertices and
+of every report.  It does not fix the order in which the intersection
+matrix is factored: the constructor eliminates by minimum degree,
+whatever the file's order.  The canonical serializer emits vertices in
+declaration order followed by edges sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import ParseError, ValidationError
 from .rational import Elimination, eliminate_upper
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def parse_graph(text: str) -> PlumbingGraph:
     seen: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
     edge_set: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -28,14 +28,13 @@ at every vertex, which `verify_gluing` checks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .divisor import binding_vector, minimal_openbook_divisor
+from .divisor import minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
-from .graph import PlumbingGraph, serialize_graph
+from .graph import PlumbingGraph
 
 
 @dataclass(frozen=True)
@@ -90,27 +89,6 @@ class OpenBookDescription:
         return sum(self.binding_counts)
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
-    """Round-trip consistency record for the open book of the minimal divisor.
-
-    The open book is assembled once, from the multiplicities N that solve
-    I.N = -n for the binding n = -I.d of the minimal divisor d.  As I is
-    invertible the solve must give back N = d, so k = 1, and the verdict
-    records that multiplicities == k.d.  This is not an independent proof
-    that two open books are equivalent: the smoothing side is the same
-    book.  A failed round trip raises ConsistencyError before any
-    certificate exists: in the binding check, or in `verify_gluing` at
-    assembly, whose vertex relation I.M = -k.n fails for any M != k.d.
-    """
-    graph_hash: str
-    divisor: tuple[int, ...]
-    binding: tuple[int, ...]
-    scale: int
-    configuration_side: OpenBookDescription
-    verdict: bool
-
-
 def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, ...]:
     if len(binding) != graph.m:
         raise ValidationError(
@@ -156,8 +134,12 @@ def build_open_book(graph: PlumbingGraph,
             raise ValidationError(
                 f"scale {scale} is not a multiple of the minimal scale {minimal_scale}")
         multiplicities = tuple(scale // minimal_scale * x for x in multiplicities)
-    description = OpenBookDescription(graph=graph, scale=scale, binding=entries,
-                                      multiplicities=multiplicities)
+    return _checked(OpenBookDescription(graph=graph, scale=scale, binding=entries,
+                                        multiplicities=multiplicities))
+
+
+def _checked(description: OpenBookDescription) -> OpenBookDescription:
+    """The description, once `verify_gluing` finds no failure."""
     failures = verify_gluing(description)
     if failures:
         raise ConsistencyError("constructed description failed its own gluing check: "
@@ -179,20 +161,14 @@ def verify_gluing(description: OpenBookDescription) -> tuple[str, ...]:
     return tuple(failures)
 
 
-def equivalence_certificate(graph: PlumbingGraph) -> EquivalenceCertificate:
-    """Assemble the open book of the minimal divisor and record the round trip."""
+def minimal_open_book(graph: PlumbingGraph) -> OpenBookDescription:
+    """The open book of the minimal divisor d, whose multiplicities are d.
+
+    Its binding is n = -I.d, and I is invertible, so I.N = -n forces
+    N = d and k = 1: no solve is needed.  The gluing check at assembly is
+    the relation I.d = -n itself, so a search that returned a wrong n
+    raises ConsistencyError here.
+    """
     found = minimal_openbook_divisor(graph)
-    # sanity: n really is -I.d for the reported divisor
-    if binding_vector(graph, found.divisor) != found.binding:
-        raise ConsistencyError("minimal divisor and binding vector disagree")
-    configuration = build_open_book(graph, found.binding)
-    k = configuration.scale
-    digest = hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest()
-    return EquivalenceCertificate(
-        graph_hash=digest,
-        divisor=found.divisor,
-        binding=found.binding,
-        scale=k,
-        configuration_side=configuration,
-        verdict=configuration.multiplicities == tuple(k * d for d in found.divisor),
-    )
+    return _checked(OpenBookDescription(graph=graph, scale=1, binding=found.binding,
+                                        multiplicities=found.divisor))

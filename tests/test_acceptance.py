@@ -11,8 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
-                      equivalence_certificate, family_resolution_graph,
-                      milnor_fiber_invariants, minimal_openbook_divisor,
+                      family_resolution_graph, milnor_fiber_invariants,
+                      minimal_open_book, minimal_openbook_divisor,
                       openbook_condition, plane_curve_mu, scale_divisor,
                       solve_multiplicities, specialized, surface_mu,
                       verify_gluing)
@@ -166,14 +166,11 @@ def test_criterion_8_equivalence_certificates(capsys, fixed_corpus,
         graphs = list(fixed_corpus.values())
         graphs.extend(graph for graph, _, _ in random_corpus)
         for graph in graphs:
-            certificate = equivalence_certificate(graph)
-            book = certificate.configuration_side
-            binding = [-r for r in intersection_rows(graph, certificate.divisor)]
-            assert tuple(binding) == certificate.binding
+            book = minimal_open_book(graph)
+            binding = [-r for r in intersection_rows(graph, book.multiplicities)]
+            assert tuple(binding) == book.binding
             assert min(binding) >= 1
-            k = certificate.scale
-            assert book.multiplicities == tuple(k * d for d in certificate.divisor)
-            assert k == 1
+            assert book.multiplicities == minimal_openbook_divisor(graph).divisor
+            assert book.scale == 1
             assert intersection_rows(graph, book.multiplicities) == [
                 -b for b in book.binding_counts]
-            assert certificate.verdict

@@ -276,6 +276,14 @@ class TestFamily:
         assert code == 1
         assert "--sweep" in err
 
+    def test_sweep_needs_s_3(self, capsys):
+        # other s need --t for every member, and --sweep does not take --t
+        code, out, err = run(capsys, "family", "--s", "2", "--sweep", "3..5")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --sweep needs s = 3: s = 2 needs --t, "
+                       "which --sweep does not take\n")
+
     def test_sweep_format_errors(self, capsys):
         for bad in ("3", "3..", "a..b", "5..3"):
             code, _, err = run(capsys, "family", "--sweep", bad)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbook import (ConsistencyError, PlumbingGraph, ValidationError,
-                      binding_vector, minimal_openbook_divisor,
+from plumbook import (PlumbingGraph, ValidationError, minimal_openbook_divisor,
                       openbook_condition, scale_divisor)
 
 from .conftest import (is_feasible, intersection_rows, small_box_minimum,
@@ -28,35 +27,24 @@ PINNED = {
 }
 
 
-class TestBindingVector:
-    def test_family_n3(self, fixed_corpus):
-        assert binding_vector(fixed_corpus["family_n3"], (30, 87)) == (3, 57)
-
-    def test_wrong_length(self, fixed_corpus):
-        with pytest.raises(ValidationError):
-            binding_vector(fixed_corpus["family_n3"], (30,))
-
-    def test_non_integer_entries(self, fixed_corpus):
-        with pytest.raises(ValidationError):
-            binding_vector(fixed_corpus["family_n3"], (30.5, 87))
-
-    def test_matches_independent_rows(self, random_corpus):
-        for graph, d, n in random_corpus[:50]:
-            assert binding_vector(graph, d) == n
-            assert list(n) == [-r for r in intersection_rows(graph, list(d))]
-
-
 class TestOpenbookCondition:
     def test_minimal_divisor_is_tight_on_family(self, fixed_corpus):
         report = openbook_condition(fixed_corpus["family_n3"], (30, 87))
         assert report.holds
-        assert bool(report)
         assert report.slacks == (0, 0)
 
     def test_infeasible_divisor(self, fixed_corpus):
         report = openbook_condition(fixed_corpus["single_torus"], (1,))
         assert not report.holds
         assert report.slacks == (1,)
+
+    def test_wrong_length(self, fixed_corpus):
+        with pytest.raises(ValidationError, match="entries"):
+            openbook_condition(fixed_corpus["family_n3"], (30,))
+
+    def test_non_integer_entries(self, fixed_corpus):
+        with pytest.raises(ValidationError, match="integers"):
+            openbook_condition(fixed_corpus["family_n3"], (30.5, 87))
 
     def test_rejects_negative_entries(self, fixed_corpus):
         with pytest.raises(ValidationError, match="effective"):
@@ -117,7 +105,7 @@ class TestMinimalDivisor:
     def test_binding_is_consistent(self, random_corpus):
         for graph, _, _ in random_corpus[:40]:
             found = minimal_openbook_divisor(graph)
-            assert found.binding == binding_vector(graph, found.divisor)
+            assert list(found.binding) == [-r for r in intersection_rows(graph, found.divisor)]
             assert all(b >= 1 for b in found.binding)
 
     def test_rejects_invalid_graph(self):

@@ -22,8 +22,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import plumbook.graph
-from plumbook import (PlumbingGraph, ValidationError, canonical_cycle,
-                      eliminate_upper, serialize_graph, solve_multiplicities)
+from plumbook import (Elimination, PlumbingGraph, ValidationError,
+                      canonical_cycle, eliminate_upper, serialize_graph,
+                      solve_multiplicities)
 from plumbook.cli import main
 
 from .conftest import SEED, intersection_rows
@@ -391,6 +392,31 @@ def test_each_graph_subcommand_factors_its_graph_once(argv, json, counted, tmp_p
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert counted == [6]
+
+
+# the minimal divisor's open book has the divisor as its multiplicities, so
+# only the divisor's lower bound is solved; --k 2 solves for the scaled book
+# and --n for the given binding
+@pytest.mark.parametrize("argv, solves", [
+    (["openbook"], 1), (["openbook", "--k", "2"], 2),
+    (["openbook", "--n", "z=1,l0_0=2,l0_1=1,l1_0=3,l2_0=1,l2_1=2"], 1),
+])
+@pytest.mark.parametrize("json", [False, True])
+def test_openbook_solves_per_command(argv, solves, json, monkeypatch, tmp_path):
+    calls = []
+    solve_times_det = Elimination.solve_times_det
+
+    def counting(self, b):
+        calls.append(len(b))
+        return solve_times_det(self, b)
+
+    monkeypatch.setattr(Elimination, "solve_times_det", counting)
+    path = tmp_path / "star.pg"
+    path.write_text(STAR, encoding="utf-8")
+    argv = [argv[0], "-i", str(path), *argv[1:]] + (["--json"] if json else [])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == [6] * solves
 
 
 @pytest.mark.parametrize("argv, graphs", [

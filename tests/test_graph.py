@@ -117,6 +117,27 @@ class TestParsing:
         with pytest.raises(ParseError, match=fragment):
             parse_graph(text)
 
+    # str.splitlines would also break at these; the format ends lines at
+    # LF, CR LF and CR only, so the line numbers count '\n' as the UTF-8
+    # error's do
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_only_line_ends_split_lines(self, sep):
+        assert parse_graph(f"vertex A e=-2 g=0 # note{sep}page\n").m == 1
+        with pytest.raises(ParseError) as info:
+            parse_graph(f"vertex A e=-2 g=0 # note{sep}page\nvertex A e=-2 g=0\n")
+        assert str(info.value) == "line 2: duplicate vertex id 'A'"
+        text = f"# a{sep}b{sep}c\nvertex A e=-2 g=0\nbogus\n"
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {text.count(chr(10))}: unknown directive 'bogus'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, end):
+        with pytest.raises(ParseError) as info:
+            parse_graph(f"vertex A e=-2 g=0{end}{end}vertex A e=-2 g=0{end}")
+        assert str(info.value) == "line 3: duplicate vertex id 'A'"
+
     def test_declaration_before_use(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("vertex a e=-2 g=0\nedge a b\nvertex b e=-2 g=0")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import plumbook.cli
 import plumbook.openbook
-from plumbook import (ConsistencyError, MinimalDivisor,
-                      ValidationError, build_open_book, equivalence_certificate,
+from plumbook import (ConsistencyError, MinimalDivisor, ValidationError,
+                      build_open_book, minimal_open_book,
                       minimal_openbook_divisor, serialize_graph,
                       solve_multiplicities, verify_gluing)
 from plumbook.cli import main
@@ -152,55 +153,51 @@ class TestVerifyGluing:
 
 
 class TestEquivalenceCertificate:
-    def test_family_certificate(self, fixed_corpus):
+    """The minimal divisor's open book, which the `openbook` certificate reports."""
+
+    def test_family_certificate(self, fixed_corpus, tmp_path, capsys):
         graph = fixed_corpus["family_n3"]
-        certificate = equivalence_certificate(graph)
-        assert certificate.verdict
-        assert certificate.divisor == (30, 87)
-        assert certificate.binding == (3, 57)
-        assert certificate.scale == 1
-        assert certificate.configuration_side.binding_counts == (3, 57)
-        assert certificate.configuration_side.multiplicities == (30, 87)
-        expected = hashlib.sha256(
-            serialize_graph(graph).encode("utf-8")).hexdigest()
-        assert certificate.graph_hash == expected
+        book = minimal_open_book(graph)
+        assert book.multiplicities == (30, 87)
+        assert book.binding == (3, 57)
+        assert book.scale == 1
+        assert book.binding_counts == (3, 57)
+        path = tmp_path / "n3.pg"
+        path.write_text(serialize_graph(graph), encoding="utf-8")
+        assert main(["openbook", "-i", str(path), "--json"]) == 0
+        certificate = json.loads(capsys.readouterr().out)["certificate"]
+        expected = hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest()
+        assert certificate["graph sha256"] == expected
 
     def test_certificates_on_fixed_corpus(self, fixed_corpus):
         for name, graph in fixed_corpus.items():
-            certificate = equivalence_certificate(graph)
-            assert certificate.verdict, name
-            assert all(b >= 1 for b in certificate.binding), name
-            found = minimal_openbook_divisor(graph)
-            assert certificate.divisor == found.divisor
-            k = certificate.scale
-            assert (certificate.configuration_side.multiplicities
-                    == tuple(k * d for d in found.divisor))
+            book = minimal_open_book(graph)
+            binding = [-r for r in intersection_rows(graph, book.multiplicities)]
+            assert tuple(binding) == book.binding, name
+            assert min(binding) >= 1, name
+            assert book.multiplicities == minimal_openbook_divisor(graph).divisor, name
+            assert book.scale == 1, name
 
     def test_sides_agree_up_to_construction(self, random_corpus):
         # one book stands for both sides: it carries the divisor's binding
         # and gives the divisor back as its multiplicities
         for graph, _, _ in random_corpus[:25]:
-            certificate = equivalence_certificate(graph)
-            book = certificate.configuration_side
-            assert certificate.verdict
-            assert book.binding == certificate.binding
-            assert book.multiplicities == certificate.divisor
-            assert verify_gluing(book) == ()
+            book = minimal_open_book(graph)
+            found = minimal_openbook_divisor(graph)
+            assert book.binding == found.binding
+            assert book.multiplicities == found.divisor
+            assert intersection_rows(graph, book.multiplicities) == [
+                -b for b in book.binding_counts]
 
-    @pytest.mark.parametrize("tamper", ["divisor", "solve", "solve, gluing unchecked"])
+    # a search whose divisor and binding disagree fails the gluing check
+    @pytest.mark.parametrize("tamper", ["divisor", "binding"])
     def test_tampered_round_trip_is_caught(self, tamper, fixed_corpus, monkeypatch):
-        if tamper == "divisor":
-            monkeypatch.setattr(plumbook.openbook, "minimal_openbook_divisor",
-                                lambda graph: MinimalDivisor((31, 87), (3, 57)))
-        else:
-            monkeypatch.setattr(plumbook.openbook, "solve_multiplicities",
-                                lambda graph, binding: (1, (31, 87)))
-        if tamper == "solve, gluing unchecked":
-            monkeypatch.setattr(plumbook.openbook, "verify_gluing", lambda description: ())
-            assert not equivalence_certificate(fixed_corpus["family_n3"]).verdict
-        else:
-            with pytest.raises(ConsistencyError):
-                equivalence_certificate(fixed_corpus["family_n3"])
+        found = {"divisor": MinimalDivisor((31, 87), (3, 57)),
+                 "binding": MinimalDivisor((30, 87), (3, 58))}[tamper]
+        monkeypatch.setattr(plumbook.openbook, "minimal_openbook_divisor",
+                            lambda graph: found)
+        with pytest.raises(ConsistencyError, match="multiplicity relation"):
+            minimal_open_book(fixed_corpus["family_n3"])
 
 
 @pytest.fixture
