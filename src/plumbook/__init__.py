@@ -10,7 +10,7 @@ holds only rational results such as the canonical cycle, no floats.
 
 from .canonical import CanonicalCycle, adjunction_rhs, canonical_cycle
 from .divisor import (ConditionReport, MinimalDivisor, minimal_openbook_divisor,
-                      openbook_condition, scale_divisor)
+                      openbook_condition)
 from .errors import (ConsistencyError, DimensionError, ParseError,
                      PlumbookError, ValidationError)
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
@@ -63,7 +63,6 @@ __all__ = [
     "rational_str",
     "render_json",
     "render_text",
-    "scale_divisor",
     "serialize_graph",
     "solve_multiplicities",
     "specialized",

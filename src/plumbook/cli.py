@@ -31,7 +31,7 @@ from .errors import ConsistencyError, ParseError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
-from .graph import PlumbingGraph, parse_graph, serialize_graph
+from .graph import _LINE_END_RE, PlumbingGraph, parse_graph, serialize_graph
 from .openbook import OpenBookDescription, build_open_book, minimal_open_book
 from .report import render_json, render_text
 from .surgery import AmbientData, surgery_characteristics
@@ -61,7 +61,7 @@ def _read_graph(path: str) -> PlumbingGraph:
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8: byte 0x{data[exc.start]:02x} "
                          f"at offset {exc.start}",
-                         data.count(b"\n", 0, exc.start) + 1) from None
+                         len(_LINE_END_RE.split(data[:exc.start].decode("utf-8")))) from None
     return parse_graph(text)
 
 

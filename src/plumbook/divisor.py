@@ -104,16 +104,3 @@ def minimal_openbook_divisor(graph: PlumbingGraph) -> MinimalDivisor:
                 pending.append(j)
     return MinimalDivisor(divisor=tuple(d), binding=tuple(-x for x in row))
 
-
-def scale_divisor(graph: PlumbingGraph, divisor: Sequence[int], k: int) -> tuple[int, ...]:
-    """k-fold multiple of a divisor already satisfying condition (a).
-
-    The multiple satisfies the condition again for every positive k: from
-    (I.d)_i <= -(deg_i + 2g_i) <= 0 follows k(I.d)_i <= (I.d)_i, so no
-    slack of k.d exceeds the matching slack of d.
-    """
-    if k < 1 or int(k) != k:
-        raise ValidationError(f"scale factor must be a positive integer, got {k!r}")
-    if not openbook_condition(graph, divisor).holds:
-        raise ValidationError("divisor does not satisfy the open-book condition")
-    return tuple(k * d for d in divisor)

@@ -6,7 +6,8 @@ and whose intersection matrix is negative definite.  Loops and
 multi-edges are forbidden: two curves meet in at most one point and a
 curve does not meet itself in this configuration model.  A
 `PlumbingGraph` that exists is valid: its constructor checks all of
-this and keeps the factorization it checked definiteness with.
+this and keeps the factorization it checked definiteness with.  The
+parser checks each line by the constructor's own rules and messages.
 
 Text format (UTF-8, line oriented)::
 
@@ -56,8 +57,9 @@ class PlumbingGraph:
     ValidationError on the first failure.  A definiteness failure names
     the vertex that closes the first leading block, in declaration order,
     that is not negative definite (another order can stop elsewhere).
-    Euler numbers are not sign-checked on their own: a nonnegative e_v
-    always surfaces as a definiteness failure.
+    Euler numbers and genera must be ints (a bool or a float is
+    rejected).  Euler numbers are not sign-checked on their own: a
+    nonnegative e_v always surfaces as a definiteness failure.
 
     Everything derived is fixed at construction: `ids`, `adjacency`
     (neighbor indices per vertex, ascending), `degrees`, `factors` (the
@@ -70,38 +72,24 @@ class PlumbingGraph:
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
-        verts = []
+        declared = _Declarations()
         for v in vertices:
-            if not isinstance(v, Vertex):
-                v = Vertex(*v)
-            verts.append(v)
-        if not verts:
+            v = v if isinstance(v, Vertex) else Vertex(*v)
+            declared.name(v.id)
+            declared.vertex(v)
+        if not declared.vertices:
             raise ValidationError("a plumbing graph needs at least one vertex")
-        index: dict[str, int] = {}
-        for pos, v in enumerate(verts):
-            if not _ID_RE.match(v.id):
-                raise ValidationError(f"invalid vertex id {v.id!r}")
-            if v.id in index:
-                raise ValidationError(f"duplicate vertex id {v.id!r}")
-            if v.genus < 0:
-                raise ValidationError(f"vertex {v.id!r} has negative genus")
-            index[v.id] = pos
-        pairs: set[tuple[int, int]] = set()
         for u, w in edges:
-            if u not in index:
-                raise ValidationError(f"unknown edge endpoint {u!r}")
-            if w not in index:
-                raise ValidationError(f"unknown edge endpoint {w!r}")
-            i, j = sorted((index[u], index[w]))
-            if i == j:
-                raise ValidationError(f"loop edge at vertex {u!r} is not allowed")
-            if (i, j) in pairs:
-                raise ValidationError(f"repeated edge between {u!r} and {w!r}")
-            pairs.add((i, j))
+            declared.edge(u, w)
+        self._derive(declared)
+
+    def _derive(self, declared: _Declarations) -> None:
+        """Everything derived from declarations that passed the rules."""
+        verts = declared.vertices
         self.vertices: tuple[Vertex, ...] = tuple(verts)
-        self.ids: tuple[str, ...] = tuple(index)
+        self.ids: tuple[str, ...] = tuple(declared.index)
         self.m = len(verts)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(declared.pairs))
         nbrs: list[list[int]] = [[] for _ in verts]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -133,74 +121,97 @@ class PlumbingGraph:
         return f"PlumbingGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+class _Declarations:
+    """The structural rules, checked one declaration at a time for both
+    the constructor and the parser: `name` the id's form and uniqueness,
+    `vertex` int weights and g >= 0, `edge` the endpoints declared so far,
+    no loop and no repeated edge."""
+
+    def __init__(self) -> None:
+        self.vertices: list[Vertex] = []
+        self.index: dict[str, int] = {}
+        self.pairs: set[tuple[int, int]] = set()
+
+    def name(self, vid: str) -> None:
+        if not _ID_RE.match(vid):
+            raise ValidationError(f"invalid vertex id {vid!r}")
+        if vid in self.index:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+
+    def vertex(self, v: Vertex) -> None:
+        """Record a vertex whose id passed `name`."""
+        if type(v.euler) is not int or type(v.genus) is not int:
+            raise ValidationError(f"e and g must be integers, got e={v.euler!r} g={v.genus!r}")
+        if v.genus < 0:
+            raise ValidationError(f"genus must be nonnegative, got {v.genus}")
+        self.index[v.id] = len(self.vertices)
+        self.vertices.append(v)
+
+    def edge(self, u: str, w: str) -> None:
+        for endpoint in (u, w):
+            if endpoint not in self.index:
+                raise ValidationError(f"unknown edge endpoint {endpoint!r}")
+        if u == w:
+            raise ValidationError(f"loop edge at vertex {u!r} is not allowed")
+        i, j = self.index[u], self.index[w]
+        pair = (i, j) if i < j else (j, i)
+        if pair in self.pairs:
+            first, second = sorted((u, w))
+            raise ValidationError(f"repeated edge between {first!r} and {second!r}")
+        self.pairs.add(pair)
+
+
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format.
 
-    Structural errors (syntax, duplicate ids, unknown endpoints, loops,
-    repeated edges) raise ParseError with the line number.  A graph that
-    parses but is disconnected or not negative definite raises the
-    constructor's ValidationError, which has no line to point at.
+    Each line passes the constructor's rules as it is read; the first
+    faulty line raises ParseError with its number.  The graph is then
+    derived once.  A graph that parses but is disconnected or not
+    negative definite raises the constructor's ValidationError.
     """
-    vertices: list[Vertex] = []
-    seen: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
-    edge_set: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "vertex":
-            if len(fields) != 4:
-                raise ParseError("expected 'vertex <id> e=<int> g=<uint>'", lineno)
-            vid = fields[1]
-            if not _ID_RE.match(vid):
-                raise ParseError(f"invalid vertex id {vid!r}", lineno)
-            if vid in seen:
-                raise ParseError(f"duplicate vertex id {vid!r}", lineno)
-            euler = _keyed_int(fields[2], "e", lineno)
-            genus = _keyed_int(fields[3], "g", lineno)
-            if genus < 0:
-                raise ParseError(f"genus must be nonnegative, got {genus}", lineno)
-            seen[vid] = len(vertices)
-            vertices.append(Vertex(vid, euler, genus))
-        elif fields[0] == "edge":
-            if len(fields) != 3:
-                raise ParseError("expected 'edge <id> <id>'", lineno)
-            u, w = fields[1], fields[2]
-            for endpoint in (u, w):
-                if endpoint not in seen:
-                    raise ParseError(f"unknown edge endpoint {endpoint!r}", lineno)
-            if u == w:
-                raise ParseError(f"loop edge at vertex {u!r} is not allowed", lineno)
-            key = tuple(sorted((u, w)))
-            if key in edge_set:
-                raise ParseError(f"repeated edge between {key[0]!r} and {key[1]!r}", lineno)
-            edge_set.add(key)
-            edges.append((u, w))
-        else:
-            raise ParseError(f"unknown directive {fields[0]!r}", lineno)
-    if not vertices:
+    declared = _Declarations()
+    try:
+        for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if fields[0] == "vertex":
+                if len(fields) != 4:
+                    raise ValidationError("expected 'vertex <id> e=<int> g=<uint>'")
+                declared.name(fields[1])
+                declared.vertex(Vertex(fields[1], _keyed_int(fields[2], "e"),
+                                       _keyed_int(fields[3], "g")))
+            elif fields[0] == "edge":
+                if len(fields) != 3:
+                    raise ValidationError("expected 'edge <id> <id>'")
+                declared.edge(fields[1], fields[2])
+            else:
+                raise ValidationError(f"unknown directive {fields[0]!r}")
+    except ValidationError as exc:
+        raise ParseError(str(exc), lineno) from None
+    if not declared.vertices:
         raise ParseError("no vertices declared")
-    return PlumbingGraph(vertices, edges)
+    graph = PlumbingGraph.__new__(PlumbingGraph)
+    graph._derive(declared)
+    return graph
 
 
-def _keyed_int(field: str, key: str, lineno: int) -> int:
+def _keyed_int(field: str, key: str) -> int:
     prefix = key + "="
     shown = field if len(field) <= 20 else field[:20] + "..."
-    if not field.startswith(prefix):
-        raise ParseError(f"expected '{prefix}<int>', got {shown!r}", lineno)
-    text = field[len(prefix):]
-    try:
-        return int(text)
-    except ValueError:
-        digits = text[1:] if text.startswith(("+", "-")) else text
-        # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if digits.isdecimal() and 0 < limit < len(digits):
-            raise ParseError(f"'{prefix}' has {len(digits)} digits, more than the "
-                             f"interpreter's limit of {limit}; got {shown!r}", lineno) from None
-        raise ParseError(f"expected '{prefix}<int>', got {shown!r}", lineno) from None
+    if field.startswith(prefix):
+        text = field[len(prefix):]
+        try:
+            return int(text)
+        except ValueError:
+            digits = text[1:] if text.startswith(("+", "-")) else text
+            # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if digits.isdecimal() and 0 < limit < len(digits):
+                raise ValidationError(f"'{prefix}' has {len(digits)} digits, more than the "
+                                      f"interpreter's limit of {limit}; got {shown!r}") from None
+    raise ValidationError(f"expected '{prefix}<int>', got {shown!r}")
 
 
 def serialize_graph(graph: PlumbingGraph) -> str:

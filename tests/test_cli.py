@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plumbook
 from plumbook.cli import build_parser, main
@@ -81,6 +86,16 @@ class TestCheck:
         assert code == 1
         assert out == ""
         assert err == "error: line 2: input is not UTF-8: byte 0xff at offset 35\n"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_is_numbered_by_the_parsers_line_ends(self, end, capsys, tmp_path):
+        data = f"vertex A e=-2 g=0{end}vertex B e=-2 g=".encode() + b"\xff" + end.encode()
+        path = tmp_path / "bad.pg"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "check", "-i", str(path))
+        assert (code, out) == (1, "")
+        offset = data.index(b"\xff")
+        assert err == f"error: line 2: input is not UTF-8: byte 0xff at offset {offset}\n"
 
     @pytest.mark.parametrize("template", ["vertex a e=-{} g=0", "vertex a e=-2 g={}"])
     def test_integer_past_the_digit_limit(self, template, capsys, tmp_path):
@@ -429,6 +444,107 @@ class TestDeterminism:
         assert keys == ["vertices", "m", "edges", "negative definite",
                         "determinant", "h", "chi of neighborhood",
                         "cycle rank", "degrees"]
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# each mutation of a valid file and what the one error line then says
+MUTATIONS = {
+    "dropped token": r"expected '(vertex|edge) <id>|unknown directive",
+    "duplicate id": r"duplicate vertex id 'v\d+'",
+    "undeclared endpoint": r"unknown edge endpoint 'u'",
+    "loop": r"loop edge at vertex 'v\d+' is not allowed",
+    "repeated edge": r"repeated edge between 'v\d+' and 'v\d+'",
+    "negative genus": r"genus must be nonnegative, got -1",
+    "non-UTF-8 byte": r"input is not UTF-8: byte 0xff at offset \d+",
+    "digit limit": r"'e=' has \d+ digits, more than the interpreter's limit",
+}
+
+
+@st.composite
+def mutated_files(draw, mutation):
+    """(file bytes, faulty line): a valid negative-definite graph, declared
+    in a random order among comments and blank lines, with `mutation` on
+    one line and every line before it untouched."""
+    m = draw(st.integers(2 if mutation == "repeated edge" else 1, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    for u, w in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=3)):
+        if u != w and (w, u) not in edges:
+            edges.add((u, w))
+    degree = [sum(v in edge for edge in edges) for v in range(m)]
+    # e = -(deg + 1) makes -I strictly diagonally dominant
+    place = {v: p for p, v in enumerate(draw(st.permutations(range(m))))}
+    items = [((place[v], 0, v), f"vertex v{v} e={-degree[v] - 1} g={draw(st.integers(0, 2))}")
+             for v in range(m)]
+    for n, (u, w) in enumerate(sorted(edges)):
+        if draw(st.booleans()):
+            u, w = w, u
+        after = max(place[u], place[w]) + draw(st.integers(0, m))
+        items.append(((after, 1, n), f"edge v{u} v{w}"))
+    lines = []
+    for _, line in sorted(items):
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", "  # indented"]), max_size=1)))
+        lines.append(line)
+
+    def pick(prefix):
+        return draw(st.sampled_from([t for t, line in enumerate(lines)
+                                     if line.startswith(prefix)]))
+
+    if mutation == "dropped token":
+        fault = pick("vertex " if m == 1 or draw(st.booleans()) else "edge ")
+        tokens = lines[fault].split()
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[fault] = " ".join(tokens)
+    elif mutation in ("negative genus", "digit limit"):
+        fault = pick("vertex ")
+        vid, e, g = lines[fault].split()[1:]
+        if mutation == "negative genus":
+            g = "g=-1"
+        else:
+            e = "e=-" + "9" * (DIGIT_LIMIT + 1)
+        lines[fault] = f"vertex {vid} {e} {g}"
+    elif mutation == "non-UTF-8 byte":
+        fault = draw(st.integers(0, len(lines) - 1))
+    else:
+        after = pick("edge " if mutation == "repeated edge" else "vertex ")
+        fault = draw(st.integers(after + 1, len(lines)))
+        first, second = lines[after].split()[1:3]
+        if mutation == "duplicate id":
+            line = f"vertex {first} e=-2 g=0"
+        elif mutation == "repeated edge":
+            line = f"edge {second} {first}" if draw(st.booleans()) else lines[after]
+        else:
+            other = "u" if mutation == "undeclared endpoint" else first
+            line = f"edge {first} {other}" if draw(st.booleans()) else f"edge {other} {first}"
+        lines.insert(fault, line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    encoded = [line.encode() for line in lines]
+    if mutation == "non-UTF-8 byte":
+        cut = draw(st.integers(0, len(encoded[fault])))
+        encoded[fault] = encoded[fault][:cut] + b"\xff" + encoded[fault][cut:]
+    return end.encode().join(encoded) + end.encode(), fault + 1
+
+
+def run_on_stdin(argv: list[str], data: bytes) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(draws=st.data(), subcommand=st.sampled_from(["check", "canonical", "divisor", "openbook"]))
+def test_one_mutated_line_is_one_error_line(mutation, draws, subcommand):
+    if mutation == "digit limit" and not DIGIT_LIMIT:
+        pytest.skip("this interpreter has no digit limit for int strings")
+    data, line = draws.draw(mutated_files(mutation))
+    code, out, err = run_on_stdin([subcommand, "-i", "-"], data)
+    assert (code, out) == (1, ""), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert re.fullmatch(rf"error: line {line}: ({MUTATIONS[mutation]}).*\n", err), err
 
 
 # argv that end in argparse: usage errors (exit 64) and help (exit 0)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbook import (PlumbingGraph, ValidationError, minimal_openbook_divisor,
-                      openbook_condition, scale_divisor)
+from plumbook import (PlumbingGraph, ValidationError, build_open_book,
+                      minimal_openbook_divisor, openbook_condition)
 
 from .conftest import (is_feasible, intersection_rows, small_box_minimum,
                        unit_step_minimum)
@@ -155,18 +155,21 @@ class TestAgainstUnitSteps:
 
 
 class TestScaleDivisor:
+    """k.d is the multiplicity vector of the open book with binding k.n
+    that build_open_book(graph, n, scale=k) assembles from d's binding n."""
+
     def test_doubling_family_divisor(self, fixed_corpus):
-        graph = fixed_corpus["family_n3"]
-        assert scale_divisor(graph, (30, 87), 2) == (60, 174)
+        book = build_open_book(fixed_corpus["family_n3"], (3, 57), scale=2)
+        assert book.multiplicities == (60, 174)
 
     def test_identity_scale(self, fixed_corpus):
-        assert scale_divisor(fixed_corpus["a1"], (1,), 1) == (1,)
+        assert build_open_book(fixed_corpus["a1"], (2,), scale=1).multiplicities == (1,)
 
     def test_scaled_divisors_stay_feasible(self, fixed_corpus):
-        for name, (divisor, _) in PINNED.items():
+        for name, (divisor, binding) in PINNED.items():
             graph = fixed_corpus[name]
             for k in (2, 3, 5):
-                scaled = scale_divisor(graph, divisor, k)
+                scaled = build_open_book(graph, binding, scale=k).multiplicities
                 assert scaled == tuple(k * d for d in divisor)
                 assert openbook_condition(graph, scaled).holds
                 assert is_feasible(graph, scaled)
@@ -175,8 +178,4 @@ class TestScaleDivisor:
         graph = fixed_corpus["a1"]
         for bad in (0, -2, 1.5):
             with pytest.raises(ValidationError):
-                scale_divisor(graph, (1,), bad)
-
-    def test_rejects_infeasible_input(self, fixed_corpus):
-        with pytest.raises(ValidationError, match="does not satisfy"):
-            scale_divisor(fixed_corpus["single_torus"], (1,), 2)
+                build_open_book(graph, (2,), scale=bad)

@@ -2,6 +2,7 @@ import pytest
 
 from plumbook import (ParseError, PlumbingGraph, ValidationError, Vertex,
                       parse_graph, serialize_graph)
+from plumbook import graph as graph_module
 
 N3_TEXT = """\
 # two curves meeting once
@@ -31,7 +32,7 @@ class TestConstruction:
             PlumbingGraph([("a b", -2, 0)])
 
     def test_negative_genus_rejected(self):
-        with pytest.raises(ValidationError, match="negative genus"):
+        with pytest.raises(ValidationError, match="genus must be nonnegative"):
             PlumbingGraph([("a", -2, -1)])
 
     def test_unknown_endpoint_rejected(self):
@@ -46,6 +47,13 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="repeated edge"):
             PlumbingGraph([("a", -2, 0), ("b", -2, 0)],
                           [("a", "b"), ("b", "a")])
+
+    @pytest.mark.parametrize("euler, genus", [(-2.5, 0), (-2, 0.5), (-2, True), (True, 0)])
+    def test_weights_must_be_ints(self, euler, genus):
+        # a float would pass into the exact arithmetic: e = -2.5 gives det -2.5, g = 0.5 gives h = 1.0
+        with pytest.raises(ValidationError) as caught:
+            PlumbingGraph([("a", euler, genus)])
+        assert str(caught.value) == f"e and g must be integers, got e={euler!r} g={genus!r}"
 
     def test_index_of(self):
         # a vertex's index in every vertex-indexed vector is its place in ids
@@ -141,6 +149,67 @@ class TestParsing:
     def test_declaration_before_use(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_graph("vertex a e=-2 g=0\nedge a b\nvertex b e=-2 g=0")
+
+
+# (vertices, edges) with one structural fault, the same declarations as a
+# file and the line that file's fault is on
+FAULTS = {
+    "id form": ([("a!", -2, 0)], [], "vertex a! e=-2 g=0\n", 1),
+    "duplicate id": ([("a", -2, 0), ("a", -3, 0)], [],
+                     "vertex a e=-2 g=0\nvertex a e=-3 g=0\n", 2),
+    "genus": ([("a", -2, -1)], [], "vertex a e=-2 g=-1\n", 1),
+    "unknown endpoint": ([("a", -2, 0)], [("a", "b")],
+                         "vertex a e=-2 g=0\nedge a b\n", 2),
+    "loop": ([("a", -2, 0)], [("a", "a")], "vertex a e=-2 g=0\nedge a a\n", 2),
+    "reversed repeated edge": (
+        [("a", -2, 0), ("b", -2, 0)], [("a", "b"), ("b", "a")],
+        "vertex a e=-2 g=0\nvertex b e=-2 g=0\nedge a b\nedge b a\n", 4),
+}
+
+
+class TestOneSetOfRules:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_file_and_library_give_the_same_message(self, fault):
+        vertices, edges, text, line = FAULTS[fault]
+        with pytest.raises(ValidationError) as built:
+            PlumbingGraph(vertices, edges)
+        assert not isinstance(built.value, ParseError)
+        with pytest.raises(ParseError) as parsed:
+            parse_graph(text)
+        assert str(parsed.value) == f"line {line}: {built.value}"
+        assert parsed.value.line == line
+
+    def test_first_faulty_line_wins(self):
+        # a loop edge on line 3 ahead of a duplicate vertex on line 4
+        with pytest.raises(ParseError) as caught:
+            parse_graph("vertex a e=-2 g=0\nvertex b e=-2 g=0\nedge a a\nvertex a e=-2 g=0\n")
+        assert str(caught.value) == "line 3: loop edge at vertex 'a' is not allowed"
+
+    def test_id_rules_run_before_the_weights_are_read(self):
+        with pytest.raises(ParseError) as caught:
+            parse_graph("vertex a! e=x g=0\n")
+        assert str(caught.value) == "line 1: invalid vertex id 'a!'"
+
+    def test_each_declaration_is_checked_once(self, monkeypatch):
+        calls = {"name": 0, "vertex": 0, "edge": 0, "__init__": 0, "_derive": 0}
+
+        def counted(cls, attr):
+            original = getattr(cls, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cls, attr, wrapper)
+
+        for attr in ("name", "vertex", "edge"):
+            counted(graph_module._Declarations, attr)
+        counted(PlumbingGraph, "__init__")
+        counted(PlumbingGraph, "_derive")
+        text = "# a chain\n" + "".join(f"vertex v{i} e=-2 g=0\n" for i in range(5)) \
+            + "\n" + "".join(f"edge v{i} v{i + 1}  # joint\n" for i in range(4))
+        graph = parse_graph(text)
+        assert graph.m == 5
+        assert calls == {"name": 5, "vertex": 5, "edge": 4, "__init__": 0, "_derive": 1}
 
 
 class TestValidate:
