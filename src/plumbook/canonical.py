@@ -14,14 +14,13 @@ formulas consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import PlumbingGraph
 
 
-@dataclass(frozen=True)
-class CanonicalCycle:
+class CanonicalCycle(NamedTuple):
     coefficients: tuple[Fraction, ...]
     k_squared: Fraction
     adjunction_rhs: tuple[int, ...]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -170,6 +169,7 @@ def _run_openbook(args) -> dict:
         description = build_open_book(graph, book.binding, scale=args.k)
     report["divisor"] = book.multiplicities
     report.update(_describe_open_book(description))
+    import hashlib   # the certificate is its only user, so other runs skip the import
     report["certificate"] = {
         "graph sha256": hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest(),
         "divisor": book.multiplicities,

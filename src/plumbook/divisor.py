@@ -25,15 +25,13 @@ its neighbours' rows only, O(deg_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .graph import PlumbingGraph
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of condition (a) with the per-vertex left-hand sides.
 
     slacks[i] is the value of (D + E + K).E_i + 2; the condition holds

@@ -27,7 +27,6 @@ s = 3, t = 30N - 33 both mu and sigma are quartic polynomials in N and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -37,37 +36,44 @@ from .errors import ConsistencyError, ValidationError
 from .graph import PlumbingGraph, Vertex
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyFields(NamedTuple):
+    s: int
+    t: int
+    N: int
+
+
+class FamilyParams(_FamilyFields):
     """Exponents (s, t, N) of one member of the family.
 
     Constraints, checked on construction in this order (N first, since
     the CLI derives t from N): N >= 3; s, t >= 1; N-1 divides s+t; the
     two genus formulas produce integers; gcd(N-1, t) = 1.
     """
-    s: int
-    t: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValidationError(f"N must be at least 3, got N={self.N}")
-        if self.s < 1 or self.t < 1:
-            raise ValidationError(f"s and t must be positive, got s={self.s}, t={self.t}")
-        if (self.s + self.t) % (self.N - 1) != 0:
+    def __new__(cls, s: int, t: int, N: int):
+        if N < 3:
+            raise ValidationError(f"N must be at least 3, got N={N}")
+        if s < 1 or t < 1:
+            raise ValidationError(f"s and t must be positive, got s={s}, t={t}")
+        if (s + t) % (N - 1) != 0:
+            raise ValidationError(f"N-1 = {N - 1} must divide s+t = {s + t}")
+        if (s - 1) * (N - 2) % 2 != 0:
             raise ValidationError(
-                f"N-1 = {self.N - 1} must divide s+t = {self.s + self.t}")
-        if (self.s - 1) * (self.N - 2) % 2 != 0:
-            raise ValidationError(
-                f"(s-1)(N-2) = {(self.s - 1) * (self.N - 2)} must be even "
+                f"(s-1)(N-2) = {(s - 1) * (N - 2)} must be even "
                 "for the first genus to be an integer")
-        if (self.t - 1) * (self.N - 2) % 2 != 0:
+        if (t - 1) * (N - 2) % 2 != 0:
             raise ValidationError(
-                f"(t-1)(N-2) = {(self.t - 1) * (self.N - 2)} must be even "
+                f"(t-1)(N-2) = {(t - 1) * (N - 2)} must be even "
                 "for the second genus to be an integer")
-        g = gcd(self.N - 1, self.t)
+        g = gcd(N - 1, t)
         if g != 1:
             raise ValidationError(f"gcd(N-1, t) = {g}, expected 1")
+        return super().__new__(cls, s, t, N)
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace checks the new values too
+        return cls(*iterable)
 
 
 def default_t(N: int) -> int:
@@ -80,8 +86,7 @@ def specialized(N: int) -> FamilyParams:
     return FamilyParams(s=3, t=default_t(N), N=N)
 
 
-@dataclass(frozen=True)
-class SmoothingInvariants:
+class SmoothingInvariants(NamedTuple):
     mu: int
     sigma: int
     p_g: int

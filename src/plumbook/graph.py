@@ -31,8 +31,7 @@ import heapq
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .rational import Elimination, eliminate_upper
@@ -41,8 +40,7 @@ _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     euler: int
     genus: int
@@ -74,12 +72,19 @@ class PlumbingGraph:
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
         declared = _Declarations()
         for v in vertices:
-            v = v if isinstance(v, Vertex) else Vertex(*v)
+            try:
+                v = v if isinstance(v, Vertex) else Vertex(*v)
+            except TypeError:
+                raise ValidationError(f"expected a vertex (<id>, <e>, <g>), got {v!r}") from None
             declared.name(v.id)
             declared.vertex(v)
         if not declared.vertices:
             raise ValidationError("a plumbing graph needs at least one vertex")
-        for u, w in edges:
+        for edge in edges:
+            try:
+                u, w = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"expected an edge (<id>, <id>), got {edge!r}") from None
             declared.edge(u, w)
         self._derive(declared)
 
@@ -133,7 +138,7 @@ class _Declarations:
         self.pairs: set[tuple[int, int]] = set()
 
     def name(self, vid: str) -> None:
-        if not _ID_RE.match(vid):
+        if not isinstance(vid, str) or not _ID_RE.match(vid):
             raise ValidationError(f"invalid vertex id {vid!r}")
         if vid in self.index:
             raise ValidationError(f"duplicate vertex id {vid!r}")
@@ -149,7 +154,7 @@ class _Declarations:
 
     def edge(self, u: str, w: str) -> None:
         for endpoint in (u, w):
-            if endpoint not in self.index:
+            if not isinstance(endpoint, str) or endpoint not in self.index:
                 raise ValidationError(f"unknown edge endpoint {endpoint!r}")
         if u == w:
             raise ValidationError(f"loop edge at vertex {u!r} is not allowed")

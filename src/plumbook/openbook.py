@@ -28,17 +28,15 @@ at every vertex, which `verify_gluing` checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .divisor import minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
 from .graph import PlumbingGraph
 
 
-@dataclass(frozen=True)
-class EdgeCurve:
+class EdgeCurve(NamedTuple):
     """Page boundary classes on the two tori of one plumbed edge."""
     u: str
     v: str
@@ -47,8 +45,7 @@ class EdgeCurve:
     components: int
 
 
-@dataclass(frozen=True)
-class OpenBookDescription:
+class OpenBookDescription(NamedTuple):
     """The open book of multiplicities M = scale.N; the rest derives from M."""
     graph: PlumbingGraph
     scale: int

@@ -14,9 +14,9 @@ Fractions as "p/q" strings and tuples as lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 
 _INDENT = "  "
+_json_str = None   # json.encoder's string quoting, imported by the first render_json
 
 
 def rational_str(value) -> str:
@@ -55,6 +55,9 @@ def _json(value, pad: str) -> str:
 
 def render_json(data: dict) -> str:
     """JSON with two-space indent, keys in insertion order, trailing newline."""
+    global _json_str
+    if _json_str is None:
+        from json.encoder import encode_basestring_ascii as _json_str
     return _json(data, "") + "\n"
 
 

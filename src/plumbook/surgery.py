@@ -18,28 +18,35 @@ structure) so it is kept as an exact rational with a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .family import SmoothingInvariants
 from .graph import PlumbingGraph
 
 
-@dataclass(frozen=True)
-class AmbientData:
+class _AmbientFields(NamedTuple):
+    chi: int
+    sigma: int
+
+
+class AmbientData(_AmbientFields):
     """Euler characteristic and signature of the ambient 4-manifold.
 
     Both are user-supplied; nothing here derives them.
     """
-    chi: int
-    sigma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in ("chi", "sigma"):
-            value = getattr(self, field)
+    def __new__(cls, chi: int, sigma: int):
+        for field, value in (("chi", chi), ("sigma", sigma)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{field} must be an integer, got {value!r}")
+        return super().__new__(cls, chi, sigma)
+
+    @classmethod
+    def _make(cls, iterable):   # so that _replace checks the new values too
+        return cls(*iterable)
 
 
 _B1_NOTE = (
@@ -48,8 +55,7 @@ _B1_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
+class SurgeryReport(NamedTuple):
     """Characteristic numbers of the result; chi_neighborhood is the Euler
     characteristic of the neighborhood that was cut out."""
     chi_neighborhood: int

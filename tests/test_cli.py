@@ -626,3 +626,37 @@ class TestConsoleScript:
                                 env=env)
         assert result.returncode == 0, result.stderr
         assert "closed form match: yes" in result.stdout, result.stderr
+
+
+class TestStartup:
+    """`import plumbook.cli` loads nothing that some subcommand never uses."""
+
+    DEFERRED = ("dataclasses", "hashlib", "inspect", "json")
+
+    def test_modules_loaded_at_import_and_per_subcommand(self):
+        # -S keeps site's own imports from loading any of them first
+        a1 = str(GOLDEN / "a1.pg")
+        script = (
+            "import sys\n"
+            "from plumbook.cli import main\n"
+            f"deferred = {self.DEFERRED!r}\n"
+            "def loaded():\n"
+            "    print([name for name in deferred if name in sys.modules], file=sys.stderr)\n"
+            "loaded()\n"
+            f"assert main(['check', '-i', {a1!r}]) == 0\n"
+            "loaded()\n"
+            f"assert main(['openbook', '-i', {a1!r}]) == 0\n"
+            "loaded()\n"
+            f"assert main(['openbook', '-i', {a1!r}, '--json']) == 0\n"
+            "loaded()\n")
+        package_root = Path(plumbook.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(package_root))
+        done = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "[]",                       # after the import
+            "[]",                       # after check
+            "['hashlib']",              # after openbook, for its certificate
+            "['hashlib', 'json']",      # after the first JSON report
+        ]

@@ -55,6 +55,21 @@ class TestConstruction:
             PlumbingGraph([("a", euler, genus)])
         assert str(caught.value) == f"e and g must be integers, got e={euler!r} g={genus!r}"
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([(5, -2, 0)], [], "invalid vertex id 5"),
+        ([(b"a", -2, 0)], [], "invalid vertex id b'a'"),
+        ([("a",)], [], "expected a vertex (<id>, <e>, <g>), got ('a',)"),
+        ([("a", -2, 0)], [(["a"], "a")], "unknown edge endpoint ['a']"),
+        ([("a", -2, 0)], [("a", {"a"})], "unknown edge endpoint {'a'}"),
+        ([("a", -2, 0)], [("a",)], "expected an edge (<id>, <id>), got ('a',)"),
+        ([("a", -2, 0)], [5], "expected an edge (<id>, <id>), got 5"),
+    ])
+    def test_malformed_library_input_is_a_validation_error(self, vertices, edges, message):
+        # the parser cannot produce any of these: its ids are strings and its edges pairs
+        with pytest.raises(ValidationError) as caught:
+            PlumbingGraph(vertices, edges)
+        assert str(caught.value) == message
+
     def test_index_of(self):
         # a vertex's index in every vertex-indexed vector is its place in ids
         graph = PlumbingGraph([("x", -2, 0), ("y", -2, 0)], [("x", "y")])

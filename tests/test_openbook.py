@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from math import gcd
@@ -128,7 +127,7 @@ class TestBuildOpenBook:
 class TestVerifyGluing:
     def test_detects_tampered_multiplicities(self, fixed_corpus):
         book = build_open_book(fixed_corpus["family_n3"], (3, 57))
-        broken = dataclasses.replace(book, multiplicities=(30, 88))
+        broken = book._replace(multiplicities=(30, 88))
         failures = verify_gluing(broken)
         assert failures
         assert all("multiplicity relation" in f for f in failures)
@@ -144,7 +143,7 @@ class TestVerifyGluing:
         step = data.draw(st.sampled_from((-1, 1)))
         mult = list(book.multiplicities)
         mult[v] += step
-        failures = verify_gluing(dataclasses.replace(book, multiplicities=tuple(mult)))
+        failures = verify_gluing(book._replace(multiplicities=tuple(mult)))
         expected = {v} | {j for i, j in graph.edges if i == v} | {
             i for i, j in graph.edges if j == v}
         named = {f.split(":")[0] for f in failures}

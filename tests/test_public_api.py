@@ -1,0 +1,100 @@
+"""The public record types keep their contract, and README's example runs.
+
+Each record is an immutable tuple: keyword construction, no assignment,
+and a repr that reads `Name(field=value, ...)`.  `FamilyParams` and
+`AmbientData` also check their values whenever one is made.
+"""
+
+import contextlib
+import io
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from plumbook import (AmbientData, CanonicalCycle, ConditionReport, EdgeCurve,
+                      FamilyParams, OpenBookDescription, PlumbingGraph,
+                      SmoothingInvariants, SurgeryReport, ValidationError, Vertex)
+
+GRAPH = PlumbingGraph([("A", -3, 1), ("B", -1, 28)], [("A", "B")])
+
+RECORDS = [
+    (Vertex, {"id": "a", "euler": -2, "genus": 0}),
+    (EdgeCurve, {"u": "A", "v": "B", "class_at_u": (87, -30), "class_at_v": (30, -87),
+                 "components": 3}),
+    (OpenBookDescription, {"graph": GRAPH, "scale": 1, "binding": (3, 57),
+                           "multiplicities": (30, 87)}),
+    (CanonicalCycle, {"coefficients": (Fraction(-1, 3), Fraction(2)),
+                      "k_squared": Fraction(-4707), "adjunction_rhs": (1, 55)}),
+    (ConditionReport, {"holds": True, "slacks": (-1, 0)}),
+    (SmoothingInvariants, {"mu": 205347, "sigma": -86437, "p_g": 29816,
+                           "k_squared": -152093, "h": 354, "m": 2, "b1": 0}),
+    (SurgeryReport, {"chi_neighborhood": -60, "chi": 100, "sigma": -20, "c1_squared": 140,
+                     "chi_h": Fraction(20), "bmy_defect": Fraction(40), "b1_note": "assumed"}),
+    (FamilyParams, {"s": 3, "t": 57, "N": 3}),
+    (AmbientData, {"chi": 1, "sigma": -100}),
+]
+
+
+@pytest.mark.parametrize("kind, fields", RECORDS, ids=lambda x: getattr(x, "__name__", ""))
+class TestRecordContract:
+    def test_keyword_construction(self, kind, fields):
+        record = kind(**fields)
+        assert {name: getattr(record, name) for name in fields} == fields
+        assert kind(*fields.values()) == record
+
+    def test_fields_cannot_be_assigned(self, kind, fields):
+        record = kind(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr(self, kind, fields):
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(kind(**fields)) == f"{kind.__name__}({shown})"
+
+
+def test_defaults():
+    assert SmoothingInvariants(mu=1, sigma=-1, p_g=0, k_squared=0, h=0, m=1).b1 == 0
+    report = SurgeryReport(chi_neighborhood=2, chi=3, sigma=-1, c1_squared=3,
+                           chi_h=Fraction(1, 2), bmy_defect=Fraction(3, 2))
+    assert report.b1_note.startswith("b1 = 0 is assumed")
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (FamilyParams(s=3, t=57, N=3), {"N": 2}, "N must be at least 3, got N=2"),
+    (FamilyParams(s=3, t=57, N=3), {"t": 4}, "N-1 = 2 must divide s+t = 7"),
+    (AmbientData(chi=1, sigma=0), {"chi": 1.5}, "chi must be an integer, got 1.5"),
+    (AmbientData(chi=1, sigma=0), {"sigma": True}, "sigma must be an integer, got True"),
+])
+def test_replace_checks_the_new_values(record, change, message):
+    with pytest.raises(ValidationError) as caught:
+        record._replace(**change)
+    assert str(caught.value) == message
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# what README's Library example prints, line for line
+LIBRARY_OUTPUT = [
+    "-4707",
+    "MinimalDivisor(divisor=(30, 87), binding=(3, 57))",
+    "-9864",
+    "SmoothingInvariants(mu=205347, sigma=-86437, p_g=29816, k_squared=-152093, "
+    "h=354, m=2, b1=0)",
+]
+
+
+def test_readme_library_example_prints_what_it_shows():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library"):]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {})
+    assert out.getvalue().splitlines() == LIBRARY_OUTPUT
+    for line in LIBRARY_OUTPUT:
+        assert line in example
