@@ -345,18 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     surgery.add_argument("--sigma", type=int, required=True,
                          help="signature of the ambient manifold")
 
+    parser.commands = subcommands.choices    # subcommand name -> its parser
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        # the subcommand's own errors and help; leftovers need the full parser
+        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+        if args is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return 0 if code is None else 1
+        return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
     try:
         report = args.handler(args)
     except ConsistencyError as exc:

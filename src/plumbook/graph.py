@@ -27,14 +27,13 @@ declaration order followed by edges sorted lexicographically.
 
 from __future__ import annotations
 
-import heapq
 import re
 import sys
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError
-from .rational import Elimination, eliminate_upper
+from .rational import Elimination, eliminate_by_degree
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
@@ -82,7 +81,7 @@ class PlumbingGraph:
             raise ValidationError("a plumbing graph needs at least one vertex")
         for edge in edges:
             try:
-                u, w = edge
+                u, w = () if isinstance(edge, str) else edge   # 'ab' would unpack
             except (TypeError, ValueError):
                 raise ValidationError(f"expected an edge (<id>, <id>), got {edge!r}") from None
             declared.edge(u, w)
@@ -96,18 +95,18 @@ class PlumbingGraph:
         self.m = len(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(declared.pairs))
         nbrs: list[list[int]] = [[] for _ in verts]
-        for i, j in self.edges:
+        for i, j in self.edges:    # sorted, so each list comes out ascending
             nbrs[i].append(j)
             nbrs[j].append(i)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(n)) for n in nbrs)
-        self.degrees: tuple[int, ...] = tuple(len(n) for n in nbrs)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
+        self.degrees: tuple[int, ...] = tuple(map(len, nbrs))
         if not _is_connected(self.adjacency):
             raise ValidationError("graph is disconnected")
-        self.factors = _factor_leading(verts, self.edges, self.adjacency, self.m)
+        self.factors = _factor_leading(verts, self.adjacency, self.m)
         if not self.factors.negative_definite:
             # every leading block of a negative definite matrix is one: bisect
             failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: not _factor_leading(
-                verts, self.edges, self.adjacency, k).negative_definite)
+                verts, self.adjacency, k).negative_definite)
             raise ValidationError("intersection matrix is not negative definite "
                                   f"(pivot at vertex {verts[failing - 1].id})")
         self.cycle_rank = len(self.edges) - self.m + 1
@@ -175,24 +174,26 @@ def parse_graph(text: str) -> PlumbingGraph:
     negative definite raises the constructor's ValidationError.
     """
     declared = _Declarations()
+    name, vertex, edge = declared.name, declared.vertex, declared.edge
+    lines = _LINE_END_RE.split(text) if "\r" in text else text.split("\n")
     try:
-        for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for lineno, raw in enumerate(lines, start=1):
+            fields = raw.partition("#")[0].split()
+            if not fields:
                 continue
-            fields = line.split()
-            if fields[0] == "vertex":
+            directive = fields[0]
+            if directive == "vertex":
                 if len(fields) != 4:
                     raise ValidationError("expected 'vertex <id> e=<int> g=<uint>'")
-                declared.name(fields[1])
-                declared.vertex(Vertex(fields[1], _keyed_int(fields[2], "e"),
-                                       _keyed_int(fields[3], "g")))
-            elif fields[0] == "edge":
+                vid = fields[1]
+                name(vid)
+                vertex(Vertex(vid, _keyed_int(fields[2], "e="), _keyed_int(fields[3], "g=")))
+            elif directive == "edge":
                 if len(fields) != 3:
                     raise ValidationError("expected 'edge <id> <id>'")
-                declared.edge(fields[1], fields[2])
+                edge(fields[1], fields[2])
             else:
-                raise ValidationError(f"unknown directive {fields[0]!r}")
+                raise ValidationError(f"unknown directive {directive!r}")
     except ValidationError as exc:
         raise ParseError(str(exc), lineno) from None
     if not declared.vertices:
@@ -202,20 +203,20 @@ def parse_graph(text: str) -> PlumbingGraph:
     return graph
 
 
-def _keyed_int(field: str, key: str) -> int:
-    prefix = key + "="
-    shown = field if len(field) <= 20 else field[:20] + "..."
+def _keyed_int(field: str, prefix: str) -> int:
+    text = field[len(prefix):]
     if field.startswith(prefix):
-        text = field[len(prefix):]
         try:
             return int(text)
         except ValueError:
-            digits = text[1:] if text.startswith(("+", "-")) else text
-            # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if digits.isdecimal() and 0 < limit < len(digits):
-                raise ValidationError(f"'{prefix}' has {len(digits)} digits, more than the "
-                                      f"interpreter's limit of {limit}; got {shown!r}") from None
+            pass
+    shown = field if len(field) <= 20 else field[:20] + "..."
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if field.startswith(prefix) and digits.isdecimal() and 0 < limit < len(digits):
+        raise ValidationError(f"'{prefix}' has {len(digits)} digits, more than the "
+                              f"interpreter's limit of {limit}; got {shown!r}")
     raise ValidationError(f"expected '{prefix}<int>', got {shown!r}")
 
 
@@ -228,58 +229,22 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _minimum_degree_order(adjacency: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Vertices in minimum-degree elimination order, ties to the lowest index.
-
-    Eliminating a vertex joins its remaining neighbors pairwise (the
-    fill-in) and changes their degrees; a heap keeps one entry per change
-    and skips the entries that are stale when they come up.  A tree is
-    taken leaf by leaf, which fills nothing in.
-    """
-    nbrs: list = [set(n) for n in adjacency]
-    heap = [(len(n), v) for v, n in enumerate(nbrs)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        degree, v = heapq.heappop(heap)
-        around = nbrs[v]
-        if around is None or degree != len(around):
-            continue
-        nbrs[v] = None
-        order.append(v)
-        for u in around:
-            joined = nbrs[u]
-            joined |= around
-            joined.discard(u)
-            joined.discard(v)
-            heapq.heappush(heap, (len(joined), u))
-    return tuple(order)
-
-
-def _factor_leading(verts: list[Vertex], edges: tuple[tuple[int, int], ...],
-                    adjacency: tuple[tuple[int, ...], ...], k: int) -> Elimination:
-    """Factors of the block of vertices 0..k-1, handed over as the upper
-    rows of P^T I P, P the block's own minimum-degree order."""
-    order = _minimum_degree_order(tuple(tuple(j for j in a if j < k) for a in adjacency[:k]))
-    position = [0] * k
-    for p, v in enumerate(order):
-        position[v] = p
-    upper = [{p: verts[v].euler} for p, v in enumerate(order)]
-    for i, j in edges:
-        if j < k:
-            a, b = position[i], position[j]
-            upper[min(a, b)][max(a, b)] = 1
-    factors = eliminate_upper(upper)
-    factors.order = order
-    return factors
+def _factor_leading(verts: list[Vertex], adjacency: tuple[tuple[int, ...], ...],
+                    k: int) -> Elimination:
+    """Factors of the block of vertices 0..k-1, in minimum-degree order:
+    each vertex's row holds its Euler number and a 1 per edge in the block."""
+    rows = []
+    for v, around in enumerate(adjacency[:k]):
+        row = dict.fromkeys(around[:bisect_left(around, k)], 1)
+        row[v] = verts[v].euler
+        rows.append(row)
+    return eliminate_by_degree(rows)
 
 
 def _is_connected(adjacency: tuple[tuple[int, ...], ...]) -> bool:
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        i = stack.pop()
-        for j in adjacency[i]:
+        for j in adjacency[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)

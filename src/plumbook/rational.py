@@ -1,48 +1,46 @@
 """Exact linear algebra on integer symmetric matrices, in Python ints.
 
-`eliminate_upper` is a symmetric fraction-free elimination (Bareiss
-1968) of the nonzero entries on and above the diagonal, rows in order,
-no pivoting.  With D_0 = 1 and D_{k+1} = b_kk the leading minors, step k
-sets b_ij = (D_{k+1} b_ij - b_ik b_kj) // D_k for i, j > k.  Each entry
-is then a minor (Sylvester's identity), so every division is exact, no
-gcd is taken, and no entry outgrows Hadamard's bound on det m.  An entry
-that step k does not touch would only be scaled by D_{k+1}/D_k, so it is
-brought up to date when next read: b D_k // D_s, if last updated at step
-s.  m is negative definite iff D_k D_{k+1} < 0 for every k, the
-elimination stops where that fails, and det m = D_m.  `solve_times_det`
-returns the integral det(m) m^{-1} b.  The operations are set by the
-fill-in, and the fill-in by the row order: O(m^3) at worst, O(m) on a
-tree taken leaf first.  A caller that chooses the order hands over
-P^T m P, with the same determinant and definiteness, and sets
-`Elimination.order`; vectors go in and come out indexed by rows of m.
+A matrix comes as sparse symmetric rows, rows[v][u] = a_vu for u = v and
+each a_vu != 0, and is eliminated symmetrically and fraction-free
+(Bareiss 1968): with D_0 = 1 and D_{k+1} the pivot of step k, taking v
+at step k sets b_ij = (D_{k+1} b_ij - b_vi b_vj) // D_k for i, j left in
+row v.  Each entry is then a minor (Sylvester's identity), so every
+division is exact and no entry outgrows Hadamard's bound on det m.  An
+entry that step k does not touch would only be scaled by D_{k+1}/D_k, so
+it is brought up to date when next read: b D_k // D_s, if last updated at
+step s.  m is negative definite iff D_k D_{k+1} < 0 for every k, the
+elimination stops where that fails, and det m = D_m.  The operations are
+set by the fill-in, and the fill-in by the order: O(m^3) at worst, O(m)
+on a tree taken leaf first, as the minimum degree takes it.  Columns are
+keyed by rows of m, so vectors go in and come out in m's own order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, ValidationError
 
 
 class Elimination:
-    """Fraction-free factors of an integer symmetric matrix, rows in order.
+    """Fraction-free factors of an integer symmetric matrix.
 
-    `minors` holds D_0 = 1, D_1, ... as far as the elimination got; if it
-    stopped early, at the row `stopped_at` = k with D_k D_{k+1} >= 0,
-    D_{k+1} is the last.  `determinant` and `solve_times_det` need the
-    complete factorization.  `order[k]` is the row of the caller's matrix
-    eliminated k-th, the identity unless the caller sets it.
+    `order[k]` is the row of m eliminated at step k and `minors` holds
+    D_0 = 1, D_1, ... as far as the elimination got; if it stopped early,
+    at step `stopped_at` = k with D_k D_{k+1} >= 0, D_{k+1} is the last
+    and `order[k]` the row whose pivot failed.  `determinant` and
+    `solve_times_det` need the complete factorization.
     """
 
     __slots__ = ("size", "minors", "stopped_at", "order", "_columns")
 
-    def __init__(self, size: int, minors: list[int],
-                 columns: list[tuple[tuple[int, int], ...]]):
+    def __init__(self, size: int, minors: list[int], order: list[int], columns: list[tuple]):
         self.size = size
         self.minors = tuple(minors)
         self.stopped_at = len(columns) if len(columns) < size else None
-        self.order = tuple(range(size))
-        self._columns = tuple(columns)   # column k below the diagonal, at step k
+        self.order = tuple(order)
+        self._columns = tuple(columns)   # (row, b) left in row order[k] at step k
 
     @property
     def negative_definite(self) -> bool:
@@ -64,64 +62,98 @@ class Elimination:
     def solve_times_det(self, b: Sequence[int]) -> tuple[int, ...]:
         """y = det(m) m^{-1} b for integral b, in integers.
 
-        b, as one more column, takes the matrix's steps, so c_k is its
-        entry at step k.  Row k at step k reads D_{k+1} x_k + sum(b_ki x_i)
-        = c_k, so with y = D_m x, y_k = (D_m c_k - sum(b_ki y_i)) // D_{k+1}.
+        b, as one more column, takes the matrix's steps, so c_v is its
+        entry at the step that eliminates v.  Row v at step k reads
+        D_{k+1} x_v + sum(b_vi x_i) = c_v, so with y = D_m x,
+        y_v = (D_m c_v - sum(b_vi y_i)) // D_{k+1}.
         """
         det, n = self.determinant(), self.size
         if len(b) != n:
             raise DimensionError(f"right-hand side of length {len(b)} against {n} rows")
-        minors, columns = self.minors, self._columns
-        c = [b[v] for v in self.order]
-        updated = [0] * n    # the step at which c_i was last updated
-        for k, column in enumerate(columns):
+        minors, order, columns = self.minors, self.order, self._columns
+        c = list(b)
+        updated = [0] * n    # the step at which c_v was last updated
+        for k, (v, column) in enumerate(zip(order, columns)):
             d_k = minors[k]
-            if updated[k] != k:
-                c[k] = c[k] * d_k // minors[updated[k]]
-            c_k = c[k]
-            if c_k:
+            c_v = c[v]
+            if updated[v] != k:
+                c[v] = c_v = c_v * d_k // minors[updated[v]]
+            if c_v:
                 d_next = minors[k + 1]
-                for i, b_ki in column:
+                for i, b_vi in column:
                     c_i = c[i]
                     if updated[i] != k:
                         c_i = c_i * d_k // minors[updated[i]]
-                    c[i] = (d_next * c_i - b_ki * c_k) // d_k
+                    c[i] = (d_next * c_i - b_vi * c_v) // d_k
                     updated[i] = k + 1
-        for k in reversed(range(n)):    # c_i is y_i for every i > k
-            y_k = det * c[k]
-            for i, b_ki in columns[k]:
-                y_k -= b_ki * c[i]
-            c[k] = y_k // minors[k + 1]
-        solution = dict(zip(self.order, c))
-        return tuple(solution[v] for v in range(n))
+        for k in reversed(range(n)):    # c_i is y_i for every i eliminated after step k
+            v = order[k]
+            y_v = det * c[v]
+            for i, b_vi in columns[k]:
+                y_v -= b_vi * c[i]
+            c[v] = y_v // minors[k + 1]
+        return tuple(c)
+
+
+def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination:
+    """Elimination of the rows, each holding its diagonal entry, taking
+    next a vertex of least degree (the length of its row), ties to the
+    lowest index.  A heap keeps one entry per change of degree and skips
+    those that are stale when they come up.  The rows are consumed."""
+    def pivots() -> Iterable[int]:
+        heap = [(len(row), v) for v, row in enumerate(rows)]
+        heapify(heap)
+        while heap:
+            degree, v = heappop(heap)
+            row = rows[v]
+            if row is not None and degree == len(row):
+                yield v
+                for u in row:    # now v's column: the rows whose degree changed
+                    heappush(heap, (len(rows[u]), u))
+    return _eliminate(rows, pivots())
 
 
 def eliminate_upper(upper: list[dict[int, int]]) -> Elimination:
-    """Fraction-free symmetric elimination from the nonzero integer a_ij,
-    j >= i, as upper[i][j].  The dicts are consumed."""
-    n = len(upper)
-    minors, columns = [1], []
+    """Elimination of the nonzero a_ij, j >= i, given as upper[i][j], rows
+    in their given order."""
+    rows = [dict(row) for row in upper]
+    for i, row in enumerate(upper):
+        for j, a_ij in row.items():
+            rows[j][i] = a_ij
+    return _eliminate(rows, range(len(rows)))
+
+
+def _eliminate(rows: list, pivots: Iterable[int]) -> Elimination:
+    """The one elimination loop: row v becomes None, its dict v's column."""
+    n = len(rows)
+    minors, order, columns = [1], [], []
     updated: list[dict[int, int]] = [{} for _ in range(n)]   # absent: step 0
-    for k in range(n):
-        row, row_updated = upper[k], updated[k]
-        d_k = minors[k]
-        for j, b_kj in row.items():
+    for k, v in zip(range(n), pivots):
+        row, row_updated = rows[v], updated[v]
+        rows[v] = None
+        d_k, step = minors[k], k + 1
+        for j, b_vj in row.items():
             s = row_updated.get(j, 0)
             if s != k:
-                row[j] = b_kj * d_k // minors[s]
-        pivot = row.pop(k, 0)
+                row[j] = b_vj * d_k // minors[s]
+        pivot = row.pop(v, 0)
         minors.append(pivot)
+        order.append(v)
         if d_k * pivot >= 0:
             break
         column = tuple(row.items())
-        for i, b_ki in column:
-            target, target_updated = upper[i], updated[i]
-            for j, b_kj in column:
-                if j >= i:
+        for i, b_vi in column:
+            target, target_updated = rows[i], updated[i]
+            del target[v]
+            for j, b_vj in column:
+                if j >= i:    # each pair once, written to both its rows
                     b_ij, s = target.get(j, 0), target_updated.get(j, 0)
                     if s != k:
                         b_ij = b_ij * d_k // minors[s]
-                    target[j] = (pivot * b_ij - b_ki * b_kj) // d_k
-                    target_updated[j] = k + 1
+                    target[j] = b_ij = (pivot * b_ij - b_vi * b_vj) // d_k
+                    target_updated[j] = step
+                    if j != i:
+                        rows[j][i] = b_ij
+                        updated[j][i] = step
         columns.append(column)
-    return Elimination(n, minors, columns)
+    return Elimination(n, minors, order, columns)

@@ -552,7 +552,9 @@ PARSER_EXITS = [
     ["frobnicate"],
     [],
     ["check", "-i", str(GOLDEN / "a1.pg"), "--frobnicate"],
+    ["check", "-i", str(GOLDEN / "a1.pg"), "extra"],
     ["check"],
+    ["divisor", "-i"],
     ["family", "--N", "x"],
     ["openbook", "-i", str(GOLDEN / "a1.pg"), "--k", "1.5"],
     ["surgery", "--N", "3", "--chi", "1"],
@@ -594,6 +596,15 @@ class TestParserReuse:
         for _ in range(2):
             assert run(capsys, *ok_argv) == (0, ok_out, "")
             assert run(capsys, *argv) == expected
+        # main hands argv to the subcommand's parser; the full one must agree
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(argv)
+        assert (caught.value.code, *capsys.readouterr()) == expected
+
+    def test_abbreviated_flag_reaches_the_subcommand(self, capsys):
+        code, out, err = run(capsys, "divisor", "--js", "-i", str(GOLDEN / "a1.pg"))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "a1/divisor.json").read_text(encoding="utf-8")
 
 
 class TestConsoleScript:

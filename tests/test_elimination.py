@@ -2,10 +2,11 @@
 no code with it: continued-fraction numerators for Hirzebruch-Jung chains,
 the orbifold Euler number for three-legged stars, Leibniz and dense
 Bareiss determinants of the leading minors, in declaration order and in
-the elimination's own order, integer row sums over the edge list, and the
-count of the factors' entries on trees.  Graphs are factored in an order
-of the program's choosing, so the graphs here are declared in random
-orders.
+the elimination's own order, integer row sums over the edge list, the
+count of the factors' entries on trees, and a minimum-degree simulation
+on sets for the pivot order and the fill-in.  Graphs are factored in an
+order of the program's choosing, so the graphs here are declared in
+random orders.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from plumbook import (Elimination, PlumbingGraph, ValidationError,
                       canonical_cycle, eliminate_upper, serialize_graph,
                       solve_multiplicities)
 from plumbook.cli import main
+from plumbook.rational import eliminate_by_degree
 
 from .conftest import SEED, intersection_rows
 from .test_rational import leibniz_determinant
@@ -297,6 +299,34 @@ def test_a_tree_fills_nothing_in_whatever_its_declaration_order(case):
     assert graph.factors.l_nonzeros == graph.m - 1
 
 
+def minimum_degree_simulation(rows) -> tuple[list[int], int]:
+    """The symbolic elimination on sets: take the lowest-indexed vertex of
+    least degree, join its neighbours pairwise, drop it; return the order
+    and the entries the factors keep below the diagonal."""
+    neighbours = {v: {u for u, x in enumerate(row) if x and u != v}
+                  for v, row in enumerate(rows)}
+    order, kept = [], 0
+    while neighbours:
+        v = min(neighbours, key=lambda u: (len(neighbours[u]), u))
+        around = neighbours.pop(v)
+        order.append(v)
+        kept += len(around)
+        for u in around:
+            neighbours[u] = (neighbours[u] | around) - {u, v}
+    return order, kept
+
+
+@PROPERTY
+@given(declared_graphs(max_m=30, cycles=12, slack=st.integers(1, 3)) | chains_declared())
+@example(star_declared_centre_first(12))
+@example(tree_declared_root_first(60))
+def test_pivots_follow_the_minimum_degree_with_ties_to_the_first_declared(case):
+    graph = definite_graph(case)
+    order, kept = minimum_degree_simulation(case[2])
+    assert graph.factors.order == tuple(order)
+    assert graph.factors.l_nonzeros == kept
+
+
 def definite_graph(case) -> PlumbingGraph:
     vertices, edges, _ = case
     try:
@@ -372,11 +402,11 @@ STAR = serialize_graph(star(7, 1, [[30, 2], [40], [50, 3]], list(range(6))))
 def counted(monkeypatch):
     calls = []
 
-    def counting(upper):
-        calls.append(len(upper))
-        return eliminate_upper(upper)
+    def counting(rows):
+        calls.append(len(rows))
+        return eliminate_by_degree(rows)
 
-    monkeypatch.setattr(plumbook.graph, "eliminate_upper", counting)
+    monkeypatch.setattr(plumbook.graph, "eliminate_by_degree", counting)
     return calls
 
 

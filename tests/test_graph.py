@@ -63,6 +63,7 @@ class TestConstruction:
         ([("a", -2, 0)], [("a", {"a"})], "unknown edge endpoint {'a'}"),
         ([("a", -2, 0)], [("a",)], "expected an edge (<id>, <id>), got ('a',)"),
         ([("a", -2, 0)], [5], "expected an edge (<id>, <id>), got 5"),
+        ([("a", -2, 0), ("b", -2, 0)], ["ab"], "expected an edge (<id>, <id>), got 'ab'"),
     ])
     def test_malformed_library_input_is_a_validation_error(self, vertices, edges, message):
         # the parser cannot produce any of these: its ids are strings and its edges pairs

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from plumbook import DimensionError, ValidationError, eliminate_upper
+from plumbook.rational import eliminate_by_degree
 
 from .conftest import SEED
 
@@ -111,11 +112,11 @@ class TestSolveAndInverse:
             eliminate([[0, 0], [0, 0]]).solve_times_det((1, 1))
 
     def test_permuted_rows_solve_in_the_callers_order(self):
-        # rows handed over as P^T m P with order[k] the row of m taken k-th
-        m = [[-3, 1, 0], [1, -2, 1], [0, 1, -4]]
-        order = (2, 0, 1)
-        factors = eliminate([[m[i][j] for j in order] for i in order])
-        factors.order = order
+        # the minimum degree takes row 1 first, then 0 and 2; the columns
+        # are keyed by rows of m, so vectors go in and come out in m's order
+        m = [[-3, 1, 1], [1, -2, 0], [1, 0, -4]]
+        factors = eliminate_by_degree([{j: x for j, x in enumerate(row) if x} for row in m])
+        assert factors.order == (1, 0, 2)
         det = leibniz_determinant(m)
         assert factors.determinant() == det
         assert product(m, factors.solve_times_det((1, -2, 5))) == [det, -2 * det, 5 * det]
