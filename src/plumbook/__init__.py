@@ -16,11 +16,11 @@ from .errors import (ConsistencyError, DimensionError, ParseError,
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      brieskorn_mu, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
-                     plane_curve_mu, specialized, surface_mu)
+                     plane_curve_mu, surface_mu)
 from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
 from .openbook import (EdgeCurve, OpenBookDescription, build_open_book,
                        minimal_open_book, solve_multiplicities, verify_gluing)
-from .rational import Elimination, eliminate_upper
+from .rational import Elimination
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
 
@@ -52,7 +52,6 @@ __all__ = [
     "canonical_cycle",
     "closed_form_check",
     "default_t",
-    "eliminate_upper",
     "family_resolution_graph",
     "milnor_fiber_invariants",
     "minimal_open_book",
@@ -65,7 +64,6 @@ __all__ = [
     "render_text",
     "serialize_graph",
     "solve_multiplicities",
-    "specialized",
     "surface_mu",
     "surgery_characteristics",
     "verify_gluing",

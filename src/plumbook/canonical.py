@@ -38,7 +38,7 @@ def adjunction_rhs(graph: PlumbingGraph) -> tuple[int, ...]:
 def canonical_cycle(graph: PlumbingGraph) -> CanonicalCycle:
     """Solve the adjunction system exactly and report K^2 = r . rhs."""
     rhs = adjunction_rhs(graph)
-    det, scaled = graph.factors.determinant(), graph.factors.solve_times_det(rhs)
+    det, scaled = graph.factors.det, graph.factors.solve_times_det(rhs)
     return CanonicalCycle(coefficients=tuple(Fraction(y, det) for y in scaled),
                           k_squared=Fraction(sum(y * b for y, b in zip(scaled, rhs)), det),
                           adjunction_rhs=rhs)

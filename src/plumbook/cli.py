@@ -71,7 +71,7 @@ def _run_check(args) -> dict:
         "m": graph.m,
         "edges": len(graph.edges),
         "negative definite": True,
-        "determinant": Fraction(graph.factors.determinant()),   # "-5" in JSON
+        "determinant": Fraction(graph.factors.det),   # "-5" in JSON
         "h": graph.h,
         "chi of neighborhood": graph.chi_neighborhood,
         "cycle rank": graph.cycle_rank,
@@ -368,7 +368,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(render_json(report) if args.json else render_text(report))
+    # a report may hold ints past Python's 4,300-digit cap; the input keeps it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        sys.stdout.write(render_json(report) if args.json else render_text(report))
+    finally:
+        set_limit(limit)
     return 0
 
 

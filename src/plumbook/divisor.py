@@ -13,14 +13,16 @@ be positive, the extra row condition
     (I.d)_i <= -1                         for every vertex i.      (b)
 
 So d is feasible iff I.d <= c, c_i = min(-(deg_i + 2g_i), -1).  -I is a
-Stieltjes matrix, so (-I)^{-1} >= 0 and -I.d >= -c gives d >= I^{-1}c:
-every feasible d lies above d0 = max(1, ceil(I^{-1}c)), one substitution
-with the kept factors.  From d0 the search raises a violated row i by the
-jump ceil(((I.d)_i - c_i) / |e_i|), Laufer's fundamental-cycle iteration.
-While d lies below every feasible d', raising the other coordinates only
-adds to row i, so d'_i >= d_i + jump: no jump overshoots, and the first
-feasible d reached is the pointwise minimum.  A jump updates row i and
-its neighbours' rows only, O(deg_i).
+Stieltjes matrix, irreducible as the graph is connected, so (-I)^{-1} > 0
+entrywise and -I.d >= -c gives d >= x = I^{-1}c.  As -c >= 1, x =
+(-I)^{-1}(-c) > 0, so d0 = ceil(x) >= 1 already: every feasible d lies
+above d0, one substitution with the kept factors.  From d0 the search
+raises a violated row i by the jump ceil(((I.d)_i - c_i) / |e_i|),
+Laufer's fundamental-cycle iteration.  While d lies below every feasible
+d', raising the other coordinates only adds to row i, so d'_i >= d_i +
+jump: no jump overshoots, and the first feasible d reached is the
+pointwise minimum.  A jump updates row i and its neighbours' rows only,
+O(deg_i).
 """
 
 from __future__ import annotations
@@ -77,14 +79,14 @@ def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> Conditio
 def minimal_openbook_divisor(graph: PlumbingGraph) -> MinimalDivisor:
     """Pointwise-minimal d >= 1 satisfying conditions (a) and (b).
 
-    Starts at max(1, ceil(I^{-1}c)) and raises violated rows, taken from a
+    Starts at ceil(I^{-1}c) and raises violated rows, taken from a
     worklist, by exact jumps until none is left; see the module docstring
     for why this ends exactly at the minimum.
     """
     thresholds = [min(-(deg + 2 * v.genus), -1)
                   for v, deg in zip(graph.vertices, graph.degrees)]
-    det = graph.factors.determinant()
-    d = [max(1, -(-y // det)) for y in graph.factors.solve_times_det(thresholds)]
+    det = graph.factors.det
+    d = [-(-y // det) for y in graph.factors.solve_times_det(thresholds)]
     row = _intersection_with(graph, d)
     abs_e = [-v.euler for v in graph.vertices]
     queued = [r > c for r, c in zip(row, thresholds)]

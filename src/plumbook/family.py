@@ -81,11 +81,6 @@ def default_t(N: int) -> int:
     return 30 * N - 33
 
 
-def specialized(N: int) -> FamilyParams:
-    """Family member at s = 3, t = 30N - 33."""
-    return FamilyParams(s=3, t=default_t(N), N=N)
-
-
 class SmoothingInvariants(NamedTuple):
     mu: int
     sigma: int

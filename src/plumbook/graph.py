@@ -102,13 +102,14 @@ class PlumbingGraph:
         self.degrees: tuple[int, ...] = tuple(map(len, nbrs))
         if not _is_connected(self.adjacency):
             raise ValidationError("graph is disconnected")
-        self.factors = _factor_leading(verts, self.adjacency, self.m)
-        if not self.factors.negative_definite:
+        factors = _factor_leading(verts, self.adjacency, self.m)
+        if factors is None:
             # every leading block of a negative definite matrix is one: bisect
-            failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: not _factor_leading(
-                verts, self.adjacency, k).negative_definite)
+            failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: _factor_leading(
+                verts, self.adjacency, k) is None)
             raise ValidationError("intersection matrix is not negative definite "
                                   f"(pivot at vertex {verts[failing - 1].id})")
+        self.factors: Elimination = factors
         self.cycle_rank = len(self.edges) - self.m + 1
         self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
         self.chi_neighborhood = sum(2 - 2 * v.genus for v in verts) - len(self.edges)
@@ -230,9 +231,9 @@ def serialize_graph(graph: PlumbingGraph) -> str:
 
 
 def _factor_leading(verts: list[Vertex], adjacency: tuple[tuple[int, ...], ...],
-                    k: int) -> Elimination:
-    """Factors of the block of vertices 0..k-1, in minimum-degree order:
-    each vertex's row holds its Euler number and a 1 per edge in the block."""
+                    k: int) -> Elimination | None:
+    """Factors of the block of vertices 0..k-1 in minimum-degree order, or
+    None: a row holds the vertex's Euler number and a 1 per edge in the block."""
     rows = []
     for v, around in enumerate(adjacency[:k]):
         row = dict.fromkeys(around[:bisect_left(around, k)], 1)

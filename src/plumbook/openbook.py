@@ -101,7 +101,7 @@ def solve_multiplicities(graph: PlumbingGraph,
     """The positive rational N with I.N = -n as (k, M = k.N), k the least
     making M integral: y = det(I) N is, so k = |det| / gcd(det, y)."""
     entries = _check_binding(graph, binding)
-    det = graph.factors.determinant()
+    det = graph.factors.det
     scaled = graph.factors.solve_times_det([-n for n in entries])
     k = abs(det) // gcd(det, *scaled)
     multiplicities = tuple(k * y // det for y in scaled)
@@ -125,7 +125,7 @@ def build_open_book(graph: PlumbingGraph,
     if scale is None:
         scale = minimal_scale
     else:
-        if scale < 1 or int(scale) != scale:
+        if type(scale) is not int or scale < 1:
             raise ValidationError(f"scale must be a positive integer, got {scale!r}")
         if scale % minimal_scale != 0:
             raise ValidationError(

@@ -8,56 +8,41 @@ row v.  Each entry is then a minor (Sylvester's identity), so every
 division is exact and no entry outgrows Hadamard's bound on det m.  An
 entry that step k does not touch would only be scaled by D_{k+1}/D_k, so
 it is brought up to date when next read: b D_k // D_s, if last updated at
-step s.  m is negative definite iff D_k D_{k+1} < 0 for every k, the
-elimination stops where that fails, and det m = D_m.  The operations are
-set by the fill-in, and the fill-in by the order: O(m^3) at worst, O(m)
-on a tree taken leaf first, as the minimum degree takes it.  Columns are
-keyed by rows of m, so vectors go in and come out in m's own order.
+step s.  m is negative definite iff D_k D_{k+1} < 0 for every k; factors
+exist only then, and det m = D_m.  The operations are set by the
+fill-in, and the fill-in by the order: O(m^3) at worst, O(m) on a tree
+taken leaf first, as the minimum degree takes it.  Columns are keyed by
+rows of m, so vectors go in and come out in m's own order.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 
 
 class Elimination:
-    """Fraction-free factors of an integer symmetric matrix.
+    """Fraction-free factors of a negative definite integer symmetric matrix.
 
-    `order[k]` is the row of m eliminated at step k and `minors` holds
-    D_0 = 1, D_1, ... as far as the elimination got; if it stopped early,
-    at step `stopped_at` = k with D_k D_{k+1} >= 0, D_{k+1} is the last
-    and `order[k]` the row whose pivot failed.  `determinant` and
-    `solve_times_det` need the complete factorization.
+    `order[k]` is the row of m eliminated at step k, `minors` holds the
+    leading minors D_0 = 1, D_1, ..., D_m of m taken in that order, and
+    `det` is D_m.
     """
 
-    __slots__ = ("size", "minors", "stopped_at", "order", "_columns")
+    __slots__ = ("det", "minors", "order", "_columns")
 
-    def __init__(self, size: int, minors: list[int], order: list[int], columns: list[tuple]):
-        self.size = size
+    def __init__(self, minors: list[int], order: list[int], columns: list[tuple]):
+        self.det = minors[-1]
         self.minors = tuple(minors)
-        self.stopped_at = len(columns) if len(columns) < size else None
         self.order = tuple(order)
         self._columns = tuple(columns)   # (row, b) left in row order[k] at step k
-
-    @property
-    def negative_definite(self) -> bool:
-        return self.stopped_at is None
 
     @property
     def l_nonzeros(self) -> int:
         """Entries kept below the diagonal: the matrix's own plus fill-in."""
         return sum(len(column) for column in self._columns)
-
-    def determinant(self) -> int:
-        """The last leading minor, of a complete factorization."""
-        if (k := self.stopped_at) is not None:
-            raise ValidationError(
-                f"matrix is not negative definite: leading minors {k} and {k + 1} "
-                f"are {self.minors[k]} and {self.minors[k + 1]}")
-        return self.minors[-1]
 
     def solve_times_det(self, b: Sequence[int]) -> tuple[int, ...]:
         """y = det(m) m^{-1} b for integral b, in integers.
@@ -67,7 +52,7 @@ class Elimination:
         D_{k+1} x_v + sum(b_vi x_i) = c_v, so with y = D_m x,
         y_v = (D_m c_v - sum(b_vi y_i)) // D_{k+1}.
         """
-        det, n = self.determinant(), self.size
+        det, n = self.det, len(self.order)
         if len(b) != n:
             raise DimensionError(f"right-hand side of length {len(b)} against {n} rows")
         minors, order, columns = self.minors, self.order, self._columns
@@ -95,52 +80,34 @@ class Elimination:
         return tuple(c)
 
 
-def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination:
-    """Elimination of the rows, each holding its diagonal entry, taking
-    next a vertex of least degree (the length of its row), ties to the
-    lowest index.  A heap keeps one entry per change of degree and skips
-    those that are stale when they come up.  The rows are consumed."""
-    def pivots() -> Iterable[int]:
-        heap = [(len(row), v) for v, row in enumerate(rows)]
-        heapify(heap)
-        while heap:
-            degree, v = heappop(heap)
-            row = rows[v]
-            if row is not None and degree == len(row):
-                yield v
-                for u in row:    # now v's column: the rows whose degree changed
-                    heappush(heap, (len(rows[u]), u))
-    return _eliminate(rows, pivots())
-
-
-def eliminate_upper(upper: list[dict[int, int]]) -> Elimination:
-    """Elimination of the nonzero a_ij, j >= i, given as upper[i][j], rows
-    in their given order."""
-    rows = [dict(row) for row in upper]
-    for i, row in enumerate(upper):
-        for j, a_ij in row.items():
-            rows[j][i] = a_ij
-    return _eliminate(rows, range(len(rows)))
-
-
-def _eliminate(rows: list, pivots: Iterable[int]) -> Elimination:
-    """The one elimination loop: row v becomes None, its dict v's column."""
-    n = len(rows)
+def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination | None:
+    """Factors of the rows, each holding its diagonal entry, or None at the
+    first pivot with D_k D_{k+1} >= 0.  The next pivot is a vertex of least
+    degree (the length of its row), ties to the lowest index: a heap keeps
+    one entry per change of degree and skips those that are stale when
+    they come up.  The rows are consumed: row v becomes None, its dict v's
+    column."""
     minors, order, columns = [1], [], []
-    updated: list[dict[int, int]] = [{} for _ in range(n)]   # absent: step 0
-    for k, v in zip(range(n), pivots):
-        row, row_updated = rows[v], updated[v]
-        rows[v] = None
+    updated: list[dict[int, int]] = [{} for _ in rows]   # absent: step 0
+    heap = [(len(row), v) for v, row in enumerate(rows)]
+    heapify(heap)
+    while heap:
+        degree, v = heappop(heap)
+        row = rows[v]
+        if row is None or degree != len(row):
+            continue
+        rows[v], row_updated = None, updated[v]
+        k = len(order)
         d_k, step = minors[k], k + 1
         for j, b_vj in row.items():
             s = row_updated.get(j, 0)
             if s != k:
                 row[j] = b_vj * d_k // minors[s]
         pivot = row.pop(v, 0)
+        if d_k * pivot >= 0:
+            return None
         minors.append(pivot)
         order.append(v)
-        if d_k * pivot >= 0:
-            break
         column = tuple(row.items())
         for i, b_vi in column:
             target, target_updated = rows[i], updated[i]
@@ -155,5 +122,7 @@ def _eliminate(rows: list, pivots: Iterable[int]) -> Elimination:
                     if j != i:
                         rows[j][i] = b_ij
                         updated[j][i] = step
+        for i in row:    # pushed once the fill is in, so no degree is stale
+            heappush(heap, (len(rows[i]), i))
         columns.append(column)
-    return Elimination(n, minors, order, columns)
+    return Elimination(minors, order, columns)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from plumbook import PlumbingGraph, ValidationError
+from plumbook import FamilyParams, PlumbingGraph, ValidationError, default_t
 
 SEED = 20260822
 RANDOM_CORPUS_SIZE = 200
@@ -127,6 +127,11 @@ def brute_force_minimum(graph: PlumbingGraph, box: int = 200) -> tuple[int, ...]
     # the coordinatewise minimum must itself lie in the feasible set
     assert (I @ mins <= thresholds).all()
     return tuple(int(x) for x in mins)
+
+
+def s3_params(N: int) -> FamilyParams:
+    """The family member the command line takes by default: s = 3, t = 30N - 33."""
+    return FamilyParams(s=3, t=default_t(N), N=N)
 
 
 def family_graph_n3() -> PlumbingGraph:

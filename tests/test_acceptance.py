@@ -13,11 +13,11 @@ from fractions import Fraction
 from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
                       family_resolution_graph, milnor_fiber_invariants,
                       minimal_open_book, minimal_openbook_divisor,
-                      plane_curve_mu, solve_multiplicities, specialized,
-                      surface_mu, verify_gluing)
+                      plane_curve_mu, solve_multiplicities, surface_mu,
+                      verify_gluing)
 
 from .conftest import (BRUTE_FORCE_NAMES, brute_force_minimum, is_feasible,
-                       intersection_rows)
+                       intersection_rows, s3_params)
 
 N_SET = (3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)
 
@@ -39,7 +39,7 @@ def test_criterion_1_closed_form_cross_validation(capsys):
         start = time.perf_counter()
         results = {}
         for N in N_SET:
-            params = specialized(N)
+            params = s3_params(N)
             graph = family_resolution_graph(params)
             cycle = canonical_cycle(graph)
             plane = plane_curve_mu(params)
@@ -64,7 +64,7 @@ def test_criterion_2_consistency_integers(capsys):
     with criterion(capsys, "p_g nonnegative integer and signature numerator "
                            "divisible by 3 for all twelve N"):
         for N in N_SET:
-            params = specialized(N)
+            params = s3_params(N)
             graph = family_resolution_graph(params)
             cycle = canonical_cycle(graph)
             assert cycle.k_squared.denominator == 1

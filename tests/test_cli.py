@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -447,6 +449,100 @@ class TestDeterminism:
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def digits_unlimited():
+    """Python's digit limit lifted, to read a report's ints past it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(DIGIT_LIMIT)
+
+
+def huge_pair() -> tuple[str, int]:
+    """Two vertices with e = -10^4000 joined by an edge, det = e_A e_B - 1."""
+    e = "-1" + "0" * 4000
+    return f"vertex A e={e} g=0\nvertex B e={e} g=0\nedge A B\n", 10 ** 8000 - 1
+
+
+def long_chain() -> tuple[str, int]:
+    """1,500 vertices with e = -1000 in a chain; det is the continuant
+    D_k = -1000 D_{k-1} - D_{k-2}."""
+    m = 1500
+    text = "".join(f"vertex c{i} e=-1000 g=0\n" for i in range(m))
+    text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
+    before, det = 0, 1
+    for _ in range(m):
+        before, det = det, -1000 * det - before
+    return text, det
+
+
+def quartics(N: int) -> tuple[int, Fraction]:
+    """mu and sigma of the s = 3 family member, the closed-form quartics."""
+    mu = 900 * N**4 - 3810 * N**3 + 5292 * N**2 - 2705 * N + 322
+    sigma = -300 * N**4 + 960 * N**3 - Fraction(2348, 3) * N**2 + Fraction(379, 3) * N - 2
+    return mu, sigma
+
+
+class TestPastTheDigitLimit:
+    """Reports holding ints of more than 4,300 digits, which Python (3.10.7
+    on) does not write by default, each checked by its own oracle."""
+
+    def run(self, capsys, *argv) -> str:
+        """One report, exit 0, no error, and the digit limit left as it was."""
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == DIGIT_LIMIT
+        return out
+
+    @pytest.mark.parametrize("graph", [huge_pair, long_chain])
+    def test_check_writes_the_determinant(self, graph, capsys, tmp_path):
+        text, det = graph()
+        path = tmp_path / "big.pg"
+        path.write_text(text, encoding="utf-8")
+        out = self.run(capsys, "check", "-i", str(path))
+        assert out.startswith("vertices: (")
+        digits = re.search(r"^determinant: (\d+)$", out, re.M).group(1)
+        assert len(digits) > 4300
+        with digits_unlimited():
+            assert int(digits) == det
+
+    @pytest.mark.parametrize("graph", [huge_pair, long_chain])
+    def test_canonical_coefficients_satisfy_integer_row_sums(self, graph, capsys, tmp_path):
+        text, _ = graph()
+        path = tmp_path / "big.pg"
+        path.write_text(text, encoding="utf-8")
+        out = self.run(capsys, "canonical", "-i", str(path), "--json")
+        with digits_unlimited():
+            report = json.loads(out)
+            r = [Fraction(x) for x in report["coefficients"]]
+            k_squared = Fraction(report["k squared"])
+        graph = plumbook.parse_graph(text)
+        rhs = [2 * v.genus - 2 - v.euler for v in graph.vertices]
+        k = math.lcm(*(x.denominator for x in r))
+        assert intersection_rows(graph, [int(k * x) for x in r]) == [k * b for b in rhs]
+        assert k_squared == sum(x * b for x, b in zip(r, rhs))
+
+    def test_family_mu_is_the_quartic(self, capsys):
+        N = 10 ** 1100 + 2
+        out = self.run(capsys, "family", "--N", str(N))
+        assert "\nclosed form match: yes\n" in out
+        mu, _ = quartics(N)
+        digits = re.search(r"^mu: (\d+)$", out, re.M).group(1)
+        assert len(digits) > 4300
+        with digits_unlimited():
+            assert int(digits) == mu
+
+    def test_surgery_takes_mu_and_sigma_from_the_quartics(self, capsys):
+        N = 10 ** 1100 + 2
+        out = self.run(capsys, "surgery", "--N", str(N), "--chi", "3", "--sigma", "-1",
+                       "--json")
+        with digits_unlimited():
+            report = json.loads(out)
+        assert (report["mu"], report["sigma of smoothing"]) == quartics(N)
 
 # each mutation of a valid file and what the one error line then says
 MUTATIONS = {

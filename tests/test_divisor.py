@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 from plumbook import (PlumbingGraph, ValidationError, build_open_book,
                       minimal_openbook_divisor, openbook_condition)
 
-from .conftest import (is_feasible, intersection_rows, small_box_minimum,
-                       unit_step_minimum)
+from .conftest import (feasibility_thresholds, is_feasible, intersection_rows,
+                       small_box_minimum, unit_step_minimum)
+from .test_elimination import GRAPHS, definite_graph
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -108,6 +111,18 @@ class TestMinimalDivisor:
             assert list(found.binding) == [-r for r in intersection_rows(graph, found.divisor)]
             assert all(b >= 1 for b in found.binding)
 
+    @PROPERTY
+    @given(GRAPHS)
+    def test_lower_bound_is_positive_with_no_floor(self, case):
+        # -I is an irreducible Stieltjes matrix and -c >= 1, so x = I^{-1} c
+        # is positive and ceil(x) >= 1 needs no max(1, ...)
+        graph = definite_graph(case)
+        c = feasibility_thresholds(graph)
+        det = graph.factors.det
+        y = graph.factors.solve_times_det(c)
+        assert intersection_rows(graph, y) == [det * x for x in c]
+        assert all(Fraction(y_i, det) > 0 for y_i in y)
+
     def test_rejects_invalid_graph(self):
         # an invalid graph cannot be built, so there is nothing to search
         with pytest.raises(ValidationError):
@@ -176,6 +191,6 @@ class TestScaleDivisor:
 
     def test_rejects_bad_scale(self, fixed_corpus):
         graph = fixed_corpus["a1"]
-        for bad in (0, -2, 1.5):
+        for bad in (0, -2, 1.5, 2.0, True):
             with pytest.raises(ValidationError):
                 build_open_book(graph, (2,), scale=bad)

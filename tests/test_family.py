@@ -5,8 +5,9 @@ import pytest
 from plumbook import (ConsistencyError, FamilyParams, SmoothingInvariants,
                       ValidationError, brieskorn_mu, canonical_cycle,
                       closed_form_check, default_t, family_resolution_graph,
-                      milnor_fiber_invariants, plane_curve_mu, specialized,
-                      surface_mu)
+                      milnor_fiber_invariants, plane_curve_mu, surface_mu)
+
+from .conftest import s3_params
 
 N_SET = (3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)
 
@@ -27,7 +28,6 @@ class TestFamilyParams:
     def test_specialized_defaults(self):
         assert default_t(3) == 57
         assert default_t(5) == 117
-        assert specialized(3) == FamilyParams(s=3, t=57, N=3)
 
     def test_nonpositive_exponents(self):
         with pytest.raises(ValidationError, match="positive"):
@@ -62,44 +62,44 @@ class TestMilnorNumbers:
             brieskorn_mu(0, 5)
 
     def test_plane_mu_n3(self):
-        assert plane_curve_mu(specialized(3)) == 9865
+        assert plane_curve_mu(s3_params(3)) == 9865
 
     def test_plane_mu_alternative_expansion(self):
         # same quantity grouped differently:
         # (s+t)(s+t-1) + (N-1)t(t-1) + 1 - s - t
         for N in (3, 5, 6, 8):
-            params = specialized(N)
+            params = s3_params(N)
             s, t = params.s, params.t
             expected = (s + t) * (s + t - 1) + (N - 1) * t * (t - 1) + 1 - s - t
             assert plane_curve_mu(params) == expected
 
     def test_surface_mu_is_suspension_multiple(self):
         for N in (3, 5, 6):
-            params = specialized(N)
+            params = s3_params(N)
             assert surface_mu(params) == (N - 2) * plane_curve_mu(params)
-        assert surface_mu(specialized(3)) == 9865
+        assert surface_mu(s3_params(3)) == 9865
 
 
 class TestResolutionGraph:
     def test_n3_graph(self):
-        graph = family_resolution_graph(specialized(3))
+        graph = family_resolution_graph(s3_params(3))
         assert [(v.id, v.euler, v.genus) for v in graph.vertices] == [
             ("A", -3, 1), ("B", -1, 28)]
         assert graph.edges == ((0, 1),)
 
     def test_n5_graph(self):
-        graph = family_resolution_graph(specialized(5))
+        graph = family_resolution_graph(s3_params(5))
         assert [(v.euler, v.genus) for v in graph.vertices] == [(-5, 3), (-1, 174)]
 
     def test_graphs_validate(self):
         for N in N_SET:
-            graph = family_resolution_graph(specialized(N))
+            graph = family_resolution_graph(s3_params(N))
             assert graph.m == 2
             assert len(graph.edges) == 1
 
     def test_h_matches_genus_sum(self):
         for N in (3, 5, 6):
-            params = specialized(N)
+            params = s3_params(N)
             graph = family_resolution_graph(params)
             expected = ((params.s - 1) * (params.N - 2)
                         + (params.t - 1) * (params.N - 2))
@@ -109,22 +109,22 @@ class TestResolutionGraph:
 class TestMilnorFiberInvariants:
     def test_pinned_members(self):
         for N, (mu, sigma, p_g) in PINNED_CLOSED_FORMS.items():
-            graph = family_resolution_graph(specialized(N))
-            invariants = milnor_fiber_invariants(graph, surface_mu(specialized(N)))
+            graph = family_resolution_graph(s3_params(N))
+            invariants = milnor_fiber_invariants(graph, surface_mu(s3_params(N)))
             assert invariants.mu == mu
             assert invariants.sigma == sigma
             assert invariants.p_g == p_g
             assert invariants.b1 == 0
 
     def test_n3_details(self):
-        graph = family_resolution_graph(specialized(3))
+        graph = family_resolution_graph(s3_params(3))
         invariants = milnor_fiber_invariants(graph, 9865)
         assert invariants.k_squared == -4707
         assert invariants.h == 58
         assert invariants.m == 2
 
     def test_n6_k_squared(self):
-        graph = family_resolution_graph(specialized(6))
+        graph = family_resolution_graph(s3_params(6))
         assert canonical_cycle(graph).k_squared == -410694
 
     def test_ade_anchors(self, fixed_corpus):
@@ -143,7 +143,7 @@ class TestMilnorFiberInvariants:
         assert invariants.p_g == 1
 
     def test_mismatched_mu_raises(self):
-        graph = family_resolution_graph(specialized(3))
+        graph = family_resolution_graph(s3_params(3))
         with pytest.raises(ConsistencyError, match="divisible by 3"):
             milnor_fiber_invariants(graph, 9866)
 
@@ -181,7 +181,7 @@ class TestClosedForm:
 
     def test_matches_pipeline_on_full_set(self):
         for N in N_SET:
-            params = specialized(N)
+            params = s3_params(N)
             graph = family_resolution_graph(params)
             invariants = milnor_fiber_invariants(graph, surface_mu(params))
             values = closed_form_check(N)

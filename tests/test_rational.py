@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from plumbook import DimensionError, ValidationError, eliminate_upper
+from plumbook import DimensionError, PlumbingGraph, ValidationError
 from plumbook.rational import eliminate_by_degree
 
 from .conftest import SEED
@@ -46,9 +46,18 @@ def random_negative_definite(rng, n):
 
 
 def eliminate(rows):
-    """Factor a dense symmetric matrix, handed over as its upper rows."""
-    return eliminate_upper([{j: x for j, x in enumerate(row) if j >= i and x}
-                            for i, row in enumerate(rows)])
+    """Factor a dense symmetric matrix, handed over as its full sparse rows,
+    each with its diagonal entry; None if it is not negative definite."""
+    return eliminate_by_degree([{j: x for j, x in enumerate(row) if x or j == i}
+                                for i, row in enumerate(rows)])
+
+
+def leading_minors_in_order(rows, order):
+    """Leibniz determinants of the leading blocks of the matrix with its
+    rows and columns taken in `order`."""
+    permuted = [[rows[i][j] for j in order] for i in order]
+    return tuple(leibniz_determinant([r[:k] for r in permuted[:k]])
+                 for k in range(len(rows) + 1))
 
 
 def product(rows, x):
@@ -58,34 +67,30 @@ def product(rows, x):
 
 class TestDeterminant:
     def test_two_by_two(self):
-        assert eliminate([[-3, 1], [1, -1]]).determinant() == 2
+        assert eliminate([[-3, 1], [1, -1]]).det == 2
 
     def test_singular_is_zero(self):
-        # a null direction: the last leading minor is 0
-        factors = eliminate([[-1, 1], [1, -1]])
-        assert factors.minors == (1, -1, 0)
-        assert factors.stopped_at == 1
-        with pytest.raises(ValidationError, match="not negative definite"):
-            factors.determinant()
+        # a null direction: the last leading minor is 0, so there are no factors
+        rows = [[-1, 1], [1, -1]]
+        assert leibniz_determinant(rows) == 0
+        assert eliminate(rows) is None
 
     def test_matches_permutation_sum_on_random_matrices(self):
         rng = random.Random(SEED)
         for _ in range(120):
             rows = random_negative_definite(rng, rng.randint(1, 4))
             factors = eliminate(rows)
-            assert factors.determinant() == leibniz_determinant(rows)
-            assert factors.minors == tuple(leibniz_determinant([r[:k] for r in rows[:k]])
-                                           for k in range(len(rows) + 1))
+            assert factors.det == leibniz_determinant(rows)
+            assert factors.minors == leading_minors_in_order(rows, factors.order)
 
     def test_exact_on_large_entries(self):
         # minors far past 64 bits: every division must still be exact
         big = 10 ** 30
         m = [[-3 * big, big + 7, 5], [big + 7, -2 * big, big - 1], [5, big - 1, -4 * big]]
         factors = eliminate(m)
-        assert factors.minors == tuple(leibniz_determinant([r[:k] for r in m[:k]])
-                                       for k in range(4))
+        assert factors.minors == leading_minors_in_order(m, factors.order)
         y = factors.solve_times_det((1, -2, 3))
-        assert product(m, y) == [factors.determinant() * b for b in (1, -2, 3)]
+        assert product(m, y) == [factors.det * b for b in (1, -2, 3)]
 
 
 class TestSolveAndInverse:
@@ -106,19 +111,23 @@ class TestSolveAndInverse:
         assert factors.solve_times_det((0, 1)) == (-1, -2)
 
     def test_singular_raises(self):
-        with pytest.raises(ValidationError, match="leading minors 1 and 2 are -1 and 0"):
-            eliminate([[-1, 1], [1, -1]]).solve_times_det((1, 1))
-        with pytest.raises(ValidationError, match="leading minors 0 and 1 are 1 and 0"):
-            eliminate([[0, 0], [0, 0]]).solve_times_det((1, 1))
+        # a singular matrix has no factors to solve with, and a graph with
+        # one is rejected when it is built
+        assert eliminate([[-1, 1], [1, -1]]) is None
+        assert eliminate([[0, 0], [0, 0]]) is None
+        with pytest.raises(ValidationError, match=r"\(pivot at vertex b\)$"):
+            PlumbingGraph([("a", -1, 0), ("b", -1, 0)], [("a", "b")])
+        with pytest.raises(ValidationError, match=r"\(pivot at vertex a\)$"):
+            PlumbingGraph([("a", 0, 0)])
 
     def test_permuted_rows_solve_in_the_callers_order(self):
         # the minimum degree takes row 1 first, then 0 and 2; the columns
         # are keyed by rows of m, so vectors go in and come out in m's order
         m = [[-3, 1, 1], [1, -2, 0], [1, 0, -4]]
-        factors = eliminate_by_degree([{j: x for j, x in enumerate(row) if x} for row in m])
+        factors = eliminate(m)
         assert factors.order == (1, 0, 2)
         det = leibniz_determinant(m)
-        assert factors.determinant() == det
+        assert factors.det == det
         assert product(m, factors.solve_times_det((1, -2, 5))) == [det, -2 * det, 5 * det]
 
     def test_shape_mismatches(self):
@@ -145,7 +154,7 @@ class TestSolveAndInverse:
 class TestNegativeDefinite:
     def test_basic_cases(self):
         def definite(rows):
-            return eliminate(rows).negative_definite
+            return eliminate(rows) is not None
 
         assert definite([[-1]])
         assert not definite([[0]])
@@ -165,7 +174,7 @@ class TestNegativeDefinite:
                 for j in range(i + 1, n):
                     rows[i][j] = rows[j][i] = rng.randint(-2, 2)
             expected = principal_minor_negative_definite(rows)
-            assert eliminate(rows).negative_definite == expected
+            assert (eliminate(rows) is not None) == expected
             agree_positive += expected
         # the sample must exercise both outcomes to mean anything
         assert 0 < agree_positive < 200

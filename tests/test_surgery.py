@@ -5,13 +5,13 @@ import pytest
 
 from plumbook import (AmbientData, SmoothingInvariants, ValidationError,
                       family_resolution_graph, milnor_fiber_invariants,
-                      specialized, surface_mu, surgery_characteristics)
+                      surface_mu, surgery_characteristics)
 
-from .conftest import SEED
+from .conftest import SEED, s3_params
 
 
 def family_inputs(N):
-    params = specialized(N)
+    params = s3_params(N)
     graph = family_resolution_graph(params)
     return graph, milnor_fiber_invariants(graph, surface_mu(params))
 
