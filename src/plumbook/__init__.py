@@ -8,7 +8,7 @@ fiber, all exact: the linear algebra runs in Python ints, `Fraction`
 holds only rational results such as the canonical cycle, no floats.
 """
 
-from .canonical import CanonicalCycle, adjunction_rhs, canonical_cycle
+from .canonical import CanonicalCycle, canonical_cycle
 from .divisor import (ConditionReport, MinimalDivisor, minimal_openbook_divisor,
                       openbook_condition)
 from .errors import (ConsistencyError, DimensionError, ParseError,
@@ -19,7 +19,7 @@ from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      plane_curve_mu, surface_mu)
 from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
 from .openbook import (EdgeCurve, OpenBookDescription, build_open_book,
-                       minimal_open_book, solve_multiplicities, verify_gluing)
+                       minimal_open_book, verify_gluing)
 from .rational import Elimination
 from .report import rational_str, render_json, render_text
 from .surgery import AmbientData, SurgeryReport, surgery_characteristics
@@ -46,7 +46,6 @@ __all__ = [
     "ValidationError",
     "Vertex",
     "__version__",
-    "adjunction_rhs",
     "brieskorn_mu",
     "build_open_book",
     "canonical_cycle",
@@ -63,7 +62,6 @@ __all__ = [
     "render_json",
     "render_text",
     "serialize_graph",
-    "solve_multiplicities",
     "surface_mu",
     "surgery_characteristics",
     "verify_gluing",

@@ -30,14 +30,9 @@ class CanonicalCycle(NamedTuple):
         return self.k_squared.denominator == 1
 
 
-def adjunction_rhs(graph: PlumbingGraph) -> tuple[int, ...]:
-    """Per-vertex value 2g - 2 - e, the pairing of K with each curve."""
-    return tuple(2 * v.genus - 2 - v.euler for v in graph.vertices)
-
-
 def canonical_cycle(graph: PlumbingGraph) -> CanonicalCycle:
     """Solve the adjunction system exactly and report K^2 = r . rhs."""
-    rhs = adjunction_rhs(graph)
+    rhs = tuple(2 * v.genus - 2 - v.euler for v in graph.vertices)   # K.E_v
     det, scaled = graph.factors.det, graph.factors.solve_times_det(rhs)
     return CanonicalCycle(coefficients=tuple(Fraction(y, det) for y in scaled),
                           k_squared=Fraction(sum(y * b for y, b in zip(scaled, rhs)), det),

@@ -30,7 +30,7 @@ from .errors import ConsistencyError, ParseError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
-from .graph import _LINE_END_RE, PlumbingGraph, parse_graph, serialize_graph
+from .graph import _LINE_END_RE, PlumbingGraph, _read_int, parse_graph, serialize_graph
 from .openbook import OpenBookDescription, build_open_book, minimal_open_book
 from .report import render_json, render_text
 from .surgery import AmbientData, surgery_characteristics
@@ -137,11 +137,8 @@ def _parse_binding(text: str, graph: PlumbingGraph) -> tuple[int, ...]:
             continue
         name, eq, raw = part.partition("=")
         name = name.strip()
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            value = None
-        if not eq or not name or value is None:
+        value = _read_int(raw, f"binding value for {name!r}", part) if eq and name else None
+        if value is None:
             raise ValidationError(f"binding entry {part!r} is not of the form id=integer")
         if name in values:
             raise ValidationError(f"binding assigns vertex {name!r} twice")
@@ -219,11 +216,9 @@ def _family_member(s: int, t: int | None, N: int) -> dict:
 
 def _parse_sweep(text: str) -> tuple[int, int]:
     lo_str, sep, hi_str = text.partition("..")
-    try:
-        lo, hi = int(lo_str), int(hi_str)
-    except ValueError:
-        lo = hi = None
-    if not sep or lo is None:
+    lo = _read_int(lo_str, "sweep start", text) if sep else None
+    hi = _read_int(hi_str, "sweep end", text) if sep else None
+    if lo is None or hi is None:
         raise ValidationError(f"sweep must look like N1..N2, got {text!r}")
     if lo > hi:
         raise ValidationError(f"sweep range {text!r} is empty")

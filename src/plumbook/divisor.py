@@ -55,22 +55,18 @@ def _intersection_with(graph: PlumbingGraph, vec: Sequence[int]) -> list[int]:
             for i in range(graph.m)]
 
 
-def _check_divisor(graph: PlumbingGraph, divisor: Sequence[int]) -> None:
+def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> ConditionReport:
+    """Evaluate condition (a) for an effective nonzero divisor."""
     if len(divisor) != graph.m:
         raise ValidationError(
             f"divisor has {len(divisor)} entries for a graph with {graph.m} vertices")
-    if any(int(d) != d for d in divisor):
+    if any(type(d) is not int for d in divisor):
         raise ValidationError("divisor entries must be integers")
-
-
-def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> ConditionReport:
-    """Evaluate condition (a) for an effective nonzero divisor."""
-    _check_divisor(graph, divisor)
     if any(d < 0 for d in divisor):
         raise ValidationError("divisor must be effective (no negative entries)")
     if all(d == 0 for d in divisor):
         raise ValidationError("divisor must be nonzero")
-    d_row = _intersection_with(graph, list(divisor))
+    d_row = _intersection_with(graph, divisor)
     slacks = tuple(dr + deg + 2 * v.genus
                    for dr, deg, v in zip(d_row, graph.degrees, graph.vertices))
     return ConditionReport(holds=all(s <= 0 for s in slacks), slacks=slacks)

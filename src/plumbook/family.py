@@ -46,12 +46,14 @@ class FamilyParams(_FamilyFields):
     """Exponents (s, t, N) of one member of the family.
 
     Constraints, checked on construction in this order (N first, since
-    the CLI derives t from N): N >= 3; s, t >= 1; N-1 divides s+t; the
-    two genus formulas produce integers; gcd(N-1, t) = 1.
+    the CLI derives t from N): s, t and N are ints; N >= 3; s, t >= 1;
+    N-1 divides s+t; the two genus formulas produce integers; gcd(N-1, t) = 1.
     """
     __slots__ = ()
 
     def __new__(cls, s: int, t: int, N: int):
+        if not all(type(x) is int for x in (s, t, N)):
+            raise ValidationError(f"s, t and N must be integers, got s={s!r}, t={t!r}, N={N!r}")
         if N < 3:
             raise ValidationError(f"N must be at least 3, got N={N}")
         if s < 1 or t < 1:
@@ -134,6 +136,8 @@ def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariant
     both divide exactly with p_g >= 0; any failure means the inputs do
     not belong together and is raised as an internal inconsistency.
     """
+    if type(mu) is not int:
+        raise ValidationError(f"mu must be an integer, got {mu!r}")
     cycle = canonical_cycle(graph)
     if not cycle.k_squared_is_integral:
         raise ConsistencyError(f"K^2 = {cycle.k_squared} is not an integer")

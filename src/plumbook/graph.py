@@ -205,20 +205,31 @@ def parse_graph(text: str) -> PlumbingGraph:
 
 
 def _keyed_int(field: str, prefix: str) -> int:
-    text = field[len(prefix):]
-    if field.startswith(prefix):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    shown = field if len(field) <= 20 else field[:20] + "..."
-    digits = text[1:] if text.startswith(("+", "-")) else text
-    # Python caps the digits int() reads from 3.10.7 on; older versions have no cap
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if field.startswith(prefix) and digits.isdecimal() and 0 < limit < len(digits):
-        raise ValidationError(f"'{prefix}' has {len(digits)} digits, more than the "
-                              f"interpreter's limit of {limit}; got {shown!r}")
-    raise ValidationError(f"expected '{prefix}<int>', got {shown!r}")
+    keyed = field.startswith(prefix)
+    value = _read_int(field[len(prefix):], f"'{prefix}'", field) if keyed else None
+    if value is None:
+        raise ValidationError(f"expected '{prefix}<int>', got {_clipped(field)!r}")
+    return value
+
+
+def _read_int(text: str, name: str, field: str) -> int | None:
+    """int(text), or None if text is no integer.  Past the digit cap of
+    int() (Python 3.10.7 on; older versions have none) a ValidationError
+    names `name` and shows `field`, which holds text, cut to 20 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise ValidationError(f"{name} has {len(digits)} digits, more than the interpreter's "
+                                  f"limit of {limit}; got {_clipped(field)!r}") from None
+        return None
+
+
+def _clipped(field: str) -> str:
+    return field if len(field) <= 20 else field[:20] + "..."
 
 
 def serialize_graph(graph: PlumbingGraph) -> str:

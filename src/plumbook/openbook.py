@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .divisor import minimal_openbook_divisor
+from .divisor import _intersection_with, minimal_openbook_divisor
 from .errors import ConsistencyError, ValidationError
 from .graph import PlumbingGraph
 
@@ -90,26 +90,9 @@ def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, .
     if len(binding) != graph.m:
         raise ValidationError(
             f"binding vector has {len(binding)} entries for {graph.m} vertices")
-    entries = tuple(int(n) for n in binding)
-    if any(int(n) != n for n in binding) or any(n < 1 for n in entries):
+    if any(type(n) is not int or n < 1 for n in binding):
         raise ValidationError("binding entries must be integers >= 1")
-    return entries
-
-
-def solve_multiplicities(graph: PlumbingGraph,
-                         binding: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """The positive rational N with I.N = -n as (k, M = k.N), k the least
-    making M integral: y = det(I) N is, so k = |det| / gcd(det, y)."""
-    entries = _check_binding(graph, binding)
-    det = graph.factors.det
-    scaled = graph.factors.solve_times_det([-n for n in entries])
-    k = abs(det) // gcd(det, *scaled)
-    multiplicities = tuple(k * y // det for y in scaled)
-    if any(x <= 0 for x in multiplicities):
-        raise ConsistencyError(
-            "multiplicity solution has a nonpositive entry; "
-            "the graph cannot have been negative definite")
-    return k, multiplicities
+    return tuple(binding)
 
 
 def build_open_book(graph: PlumbingGraph,
@@ -117,20 +100,27 @@ def build_open_book(graph: PlumbingGraph,
                     scale: int | None = None) -> OpenBookDescription:
     """Assemble the open-book description for a positive binding vector.
 
-    `scale` defaults to the least k making k.N integral; an explicit
-    scale must be a positive multiple of that minimum.
+    The positive rational N with I.N = -n comes from one solve as
+    y = det(I) N, so the least k making k.N integral is |det| / gcd(det, y).
+    `scale` defaults to that k; an explicit scale must be a positive
+    multiple of it.
     """
-    minimal_scale, multiplicities = solve_multiplicities(graph, binding)   # checks the binding
-    entries = tuple(int(n) for n in binding)
+    entries = _check_binding(graph, binding)
+    det = graph.factors.det
+    scaled = graph.factors.solve_times_det([-n for n in entries])
+    least = abs(det) // gcd(det, *scaled)
     if scale is None:
-        scale = minimal_scale
-    else:
-        if type(scale) is not int or scale < 1:
-            raise ValidationError(f"scale must be a positive integer, got {scale!r}")
-        if scale % minimal_scale != 0:
-            raise ValidationError(
-                f"scale {scale} is not a multiple of the minimal scale {minimal_scale}")
-        multiplicities = tuple(scale // minimal_scale * x for x in multiplicities)
+        scale = least
+    elif type(scale) is not int or scale < 1:
+        raise ValidationError(f"scale must be a positive integer, got {scale!r}")
+    elif scale % least != 0:
+        raise ValidationError(
+            f"scale {scale} is not a multiple of the minimal scale {least}")
+    multiplicities = tuple(scale * y // det for y in scaled)
+    if any(x <= 0 for x in multiplicities):
+        raise ConsistencyError(
+            "multiplicity solution has a nonpositive entry; "
+            "the graph cannot have been negative definite")
     return _checked(OpenBookDescription(graph=graph, scale=scale, binding=entries,
                                         multiplicities=multiplicities))
 
@@ -147,15 +137,10 @@ def _checked(description: OpenBookDescription) -> OpenBookDescription:
 def verify_gluing(description: OpenBookDescription) -> tuple[str, ...]:
     """Failures of the vertex relation, by integer row sums; () if none."""
     graph = description.graph
-    mult = description.multiplicities
-    failures: list[str] = []
-    adjacency = graph.adjacency
-    for i, (vertex, b) in enumerate(zip(graph.vertices, description.binding_counts)):
-        total = mult[i] * vertex.euler + sum(mult[j] for j in adjacency[i])
-        if total != -b:
-            failures.append(f"vertex {vertex.id}: multiplicity relation gives {total}, "
-                            f"expected {-b}")
-    return tuple(failures)
+    rows = _intersection_with(graph, description.multiplicities)
+    return tuple(f"vertex {vertex.id}: multiplicity relation gives {total}, expected {-b}"
+                 for vertex, total, b in zip(graph.vertices, rows, description.binding_counts)
+                 if total != -b)
 
 
 def minimal_open_book(graph: PlumbingGraph) -> OpenBookDescription:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 
 class Elimination:
@@ -55,6 +55,8 @@ class Elimination:
         det, n = self.det, len(self.order)
         if len(b) != n:
             raise DimensionError(f"right-hand side of length {len(b)} against {n} rows")
+        if any(type(x) is not int for x in b):
+            raise ValidationError("right-hand side entries must be integers")
         minors, order, columns = self.minors, self.order, self._columns
         c = list(b)
         updated = [0] * n    # the step at which c_v was last updated

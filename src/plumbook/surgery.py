@@ -40,7 +40,7 @@ class AmbientData(_AmbientFields):
 
     def __new__(cls, chi: int, sigma: int):
         for field, value in (("chi", chi), ("sigma", sigma)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:
                 raise ValidationError(f"{field} must be an integer, got {value!r}")
         return super().__new__(cls, chi, sigma)
 

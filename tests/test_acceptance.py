@@ -13,8 +13,7 @@ from fractions import Fraction
 from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
                       family_resolution_graph, milnor_fiber_invariants,
                       minimal_open_book, minimal_openbook_divisor,
-                      plane_curve_mu, solve_multiplicities, surface_mu,
-                      verify_gluing)
+                      plane_curve_mu, surface_mu, verify_gluing)
 
 from .conftest import (BRUTE_FORCE_NAMES, brute_force_minimum, is_feasible,
                        intersection_rows, s3_params)
@@ -83,7 +82,8 @@ def test_criterion_3_multiplicity_roundtrip(capsys, random_corpus):
                            f"{len(random_corpus)} random graphs"):
         assert len(random_corpus) >= 200
         for graph, d, n in random_corpus:
-            assert solve_multiplicities(graph, n) == (1, tuple(d))
+            book = build_open_book(graph, n)
+            assert (book.scale, book.multiplicities) == (1, tuple(d))
 
 
 def test_criterion_4_minimal_divisor_oracle(capsys, fixed_corpus):
@@ -116,8 +116,8 @@ def test_criterion_6_open_book_validity(capsys, random_corpus):
     with criterion(capsys, "vertex relation, positivity and gluing hold for "
                            "every random-corpus open book"):
         for graph, _, n in random_corpus:
-            assert all(x > 0 for x in solve_multiplicities(graph, n)[1])
             book = build_open_book(graph, n)
+            assert all(x > 0 for x in book.multiplicities)
             rows = intersection_rows(graph, list(book.multiplicities))
             assert rows == [-b for b in book.binding_counts]
             assert verify_gluing(book) == ()

@@ -3,23 +3,23 @@ from math import lcm
 
 import pytest
 
-from plumbook import (PlumbingGraph, ValidationError, adjunction_rhs,
-                      canonical_cycle)
+from plumbook import PlumbingGraph, ValidationError, canonical_cycle
 
 from .conftest import intersection_rows
 
 
 class TestAdjunctionRhs:
+    # the pairing 2g - 2 - e of K with each curve, as canonical_cycle reports it
     def test_family_n3(self, fixed_corpus):
-        assert adjunction_rhs(fixed_corpus["family_n3"]) == (3, 55)
+        assert canonical_cycle(fixed_corpus["family_n3"]).adjunction_rhs == (3, 55)
 
     def test_all_minus_two_spheres_vanish(self, fixed_corpus):
-        assert adjunction_rhs(fixed_corpus["a3"]) == (0, 0, 0)
+        assert canonical_cycle(fixed_corpus["a3"]).adjunction_rhs == (0, 0, 0)
 
     def test_mixed(self, fixed_corpus):
-        assert adjunction_rhs(fixed_corpus["path_232"]) == (0, 3, 0)
-        assert adjunction_rhs(fixed_corpus["single_torus"]) == (1,)
-        assert adjunction_rhs(fixed_corpus["single_genus2"]) == (5,)
+        assert canonical_cycle(fixed_corpus["path_232"]).adjunction_rhs == (0, 3, 0)
+        assert canonical_cycle(fixed_corpus["single_torus"]).adjunction_rhs == (1,)
+        assert canonical_cycle(fixed_corpus["single_genus2"]).adjunction_rhs == (5,)
 
 
 class TestCanonicalCycle:

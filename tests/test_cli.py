@@ -544,6 +544,42 @@ class TestPastTheDigitLimit:
             report = json.loads(out)
         assert (report["mu"], report["sigma of smoothing"]) == quartics(N)
 
+
+NINES = "9" * (DIGIT_LIMIT + 1)
+A1 = str(GOLDEN / "a1.pg")
+
+
+# --n and --sweep read their ints by the parser's rule: a value past the
+# digit limit gets one short line that names the limit, not the whole value
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter has no digit limit for int strings")
+@pytest.mark.parametrize("argv, name, shown", [
+    (["openbook", "-i", A1, "--n", f"a={NINES}"], "binding value for 'a'", "a=" + NINES[:18]),
+    (["family", "--sweep", f"{NINES}..5"], "sweep start", NINES[:20]),
+    (["family", "--sweep", f"3..{NINES}"], "sweep end", "3.." + NINES[:17]),
+    (["family", "--sweep", f"x..{NINES}"], "sweep end", "x.." + NINES[:17]),
+], ids=["n", "sweep-start", "sweep-end", "sweep-end-after-a-bad-start"])
+def test_a_value_past_the_digit_limit_is_one_short_error_line(argv, name, shown, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {name} has {DIGIT_LIMIT + 1} digits, more than the "
+                   f"interpreter's limit of {DIGIT_LIMIT}; got {shown + '...'!r}\n")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["openbook", "-i", A1, "--n", "a=x"], "binding entry 'a=x' is not of the form id=integer"),
+    (["openbook", "-i", A1, "--n", "a"], "binding entry 'a' is not of the form id=integer"),
+    (["openbook", "-i", A1, "--n", "=2"], "binding entry '=2' is not of the form id=integer"),
+    (["openbook", "-i", A1, "--n", "a=1.5"], "binding entry 'a=1.5' is not of the form id=integer"),
+    (["family", "--sweep", "3"], "sweep must look like N1..N2, got '3'"),
+    (["family", "--sweep", "3.."], "sweep must look like N1..N2, got '3..'"),
+    (["family", "--sweep", "a..5"], "sweep must look like N1..N2, got 'a..5'"),
+    (["family", "--sweep", "5..3"], "sweep range '5..3' is empty"),
+])
+def test_a_malformed_value_within_the_digit_limit_keeps_its_message(argv, message, capsys):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 # each mutation of a valid file and what the one error line then says
 MUTATIONS = {
     "dropped token": r"expected '(vertex|edge) <id>|unknown directive",

@@ -9,7 +9,7 @@ from plumbook import (PlumbingGraph, ValidationError, build_open_book,
 
 from .conftest import (feasibility_thresholds, is_feasible, intersection_rows,
                        small_box_minimum, unit_step_minimum)
-from .test_elimination import GRAPHS, definite_graph
+from .test_elimination import GRAPHS, declared_graphs, definite_graph
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -122,6 +122,30 @@ class TestMinimalDivisor:
         y = graph.factors.solve_times_det(c)
         assert intersection_rows(graph, y) == [det * x for x in c]
         assert all(Fraction(y_i, det) > 0 for y_i in y)
+
+    @PROPERTY
+    @given(declared_graphs(max_m=12, cycles=4, slack=st.integers(0, 4)))
+    def test_minimum_lies_between_the_proven_bounds(self, case):
+        # ceil(I^{-1}c) <= d* <= d_up = ceil(I^{-1}(c - deg)): with u = d_up -
+        # I^{-1}(c - deg) in [0, 1)^m, (I.d_up)_i = c_i - deg_i + e_i u_i +
+        # sum(u_j over j ~ i) <= c_i, so d_up is feasible and lies above d*
+        graph = definite_graph(case)
+        c = feasibility_thresholds(graph)
+        degrees = [0] * graph.m
+        for i, j in graph.edges:
+            degrees[i] += 1
+            degrees[j] += 1
+        det = graph.factors.det
+
+        def ceil_solve(b):
+            y = graph.factors.solve_times_det(b)
+            assert intersection_rows(graph, y) == [det * x for x in b]
+            return [-(-x // det) for x in y]
+
+        lower, upper = ceil_solve(c), ceil_solve([x - d for x, d in zip(c, degrees)])
+        assert is_feasible(graph, upper)
+        minimum = unit_step_minimum(graph)
+        assert all(lo <= x <= up for lo, x, up in zip(lower, minimum, upper))
 
     def test_rejects_invalid_graph(self):
         # an invalid graph cannot be built, so there is nothing to search

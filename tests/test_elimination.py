@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import plumbook.graph
 from plumbook import (Elimination, PlumbingGraph, ValidationError,
-                      canonical_cycle, serialize_graph, solve_multiplicities)
+                      build_open_book, canonical_cycle, serialize_graph)
 from plumbook.cli import main
 from plumbook.rational import eliminate_by_degree
 
@@ -397,7 +397,8 @@ def test_both_solves_satisfy_integer_row_sums(case, binding):
     cycle = canonical_cycle(graph)
     k, r = scaled_integral(cycle.coefficients)
     assert intersection_rows(graph, r) == [k * b for b in cycle.adjunction_rhs]
-    k, multiplicities = solve_multiplicities(graph, binding)
+    book = build_open_book(graph, binding)
+    k, multiplicities = book.scale, book.multiplicities
     assert intersection_rows(graph, multiplicities) == [-k * n for n in binding]
 
 

@@ -10,26 +10,30 @@ import plumbook.cli
 import plumbook.openbook
 from plumbook import (ConsistencyError, MinimalDivisor, ValidationError,
                       build_open_book, minimal_open_book,
-                      minimal_openbook_divisor, serialize_graph,
-                      solve_multiplicities, verify_gluing)
+                      minimal_openbook_divisor, serialize_graph, verify_gluing)
 from plumbook.cli import main
 
 from .conftest import intersection_rows
 
 
+def solved(graph, binding) -> tuple[int, tuple[int, ...]]:
+    book = build_open_book(graph, binding)
+    return book.scale, book.multiplicities
+
+
 class TestSolveMultiplicities:
-    # N comes back as (k, M = k.N) with the least k making M integral
+    # with no scale, N comes back as (k, M = k.N) with the least k making M integral
     def test_family_binding(self, fixed_corpus):
-        result = solve_multiplicities(fixed_corpus["family_n3"], (3, 57))
+        result = solved(fixed_corpus["family_n3"], (3, 57))
         assert result == (1, (30, 87))
 
     def test_fractional_result(self, fixed_corpus):
         # N = (1/2,)
-        assert solve_multiplicities(fixed_corpus["a1"], (1,)) == (2, (1,))
+        assert solved(fixed_corpus["a1"], (1,)) == (2, (1,))
 
     def test_defining_equation(self, random_corpus):
         for graph, _, n in random_corpus[:40]:
-            k, integral = solve_multiplicities(graph, n)
+            k, integral = solved(graph, n)
             assert all(x > 0 for x in integral)
             # I.(kN) = -k n, checked in integer arithmetic
             rows = intersection_rows(graph, list(integral))
@@ -40,11 +44,11 @@ class TestSolveMultiplicities:
     def test_rejects_bad_binding(self, fixed_corpus):
         graph = fixed_corpus["family_n3"]
         with pytest.raises(ValidationError):
-            solve_multiplicities(graph, (3,))
+            build_open_book(graph, (3,))
         with pytest.raises(ValidationError):
-            solve_multiplicities(graph, (0, 57))
+            build_open_book(graph, (0, 57))
         with pytest.raises(ValidationError):
-            solve_multiplicities(graph, (-3, 57))
+            build_open_book(graph, (-3, 57))
 
 
 class TestBuildOpenBook:

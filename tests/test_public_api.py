@@ -12,10 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbook import (AmbientData, CanonicalCycle, ConditionReport, EdgeCurve,
                       FamilyParams, OpenBookDescription, PlumbingGraph,
-                      SmoothingInvariants, SurgeryReport, ValidationError, Vertex)
+                      SmoothingInvariants, SurgeryReport, ValidationError, Vertex,
+                      build_open_book, milnor_fiber_invariants, openbook_condition)
 
 GRAPH = PlumbingGraph([("A", -3, 1), ("B", -1, 28)], [("A", "B")])
 
@@ -74,6 +77,48 @@ def test_replace_checks_the_new_values(record, change, message):
     with pytest.raises(ValidationError) as caught:
         record._replace(**change)
     assert str(caught.value) == message
+
+
+# every library entry that takes ints, as (call on a list of arguments,
+# arguments it accepts, whether that list is one vector of any length)
+INT_ENTRIES = {
+    "openbook_condition": (lambda v: openbook_condition(GRAPH, v), [30, 87], True),
+    "build_open_book binding": (lambda v: build_open_book(GRAPH, v), [3, 57], True),
+    "build_open_book scale": (lambda v: build_open_book(GRAPH, (3, 57), scale=v[0]), [2],
+                              False),
+    "solve_times_det": (lambda v: GRAPH.factors.solve_times_det(v), [1, 2], True),
+    "FamilyParams": (lambda v: FamilyParams(*v), [3, 57, 3], False),
+    "AmbientData": (lambda v: AmbientData(*v), [1, -100], False),
+    "milnor_fiber_invariants": (lambda v: milnor_fiber_invariants(GRAPH, v[0]), [9865], False),
+    "PlumbingGraph weights": (lambda v: PlumbingGraph([("A", v[0], v[1]), ("B", v[2], v[3])],
+                                                      [("A", "B")]), [-3, 1, -1, 28], False),
+}
+
+# a float or a Fraction may hold an integral value, and a bool is an int
+# subclass: none of them is an int, and each is rejected, never converted
+NOT_INTS = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+                     st.fractions())
+
+
+@pytest.mark.parametrize("name", INT_ENTRIES)
+def test_each_int_entry_accepts_ints(name):
+    call, valid, _ = INT_ENTRIES[name]
+    call(valid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(list(INT_ENTRIES)), st.data())
+def test_a_non_int_or_a_wrong_length_is_a_validation_error(name, data):
+    call, valid, vector = INT_ENTRIES[name]
+    if vector and data.draw(st.booleans()):
+        length = data.draw(st.integers(0, 5).filter(lambda n: n != len(valid)))
+        arguments = [1] * length
+    else:
+        arguments = list(valid)
+        bad = data.draw(NOT_INTS.filter(lambda x: x is not None or "scale" not in name))
+        arguments[data.draw(st.integers(0, len(valid) - 1))] = bad   # None: the least scale
+    with pytest.raises(ValidationError):
+        call(arguments)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
