@@ -11,28 +11,24 @@ holds only rational results such as the canonical cycle, no floats.
 from .canonical import CanonicalCycle, canonical_cycle
 from .divisor import (ConditionReport, MinimalDivisor, minimal_openbook_divisor,
                       openbook_condition)
-from .errors import (ConsistencyError, DimensionError, ParseError,
-                     PlumbookError, ValidationError)
+from .errors import ConsistencyError, ParseError, PlumbookError, ValidationError
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
-                     brieskorn_mu, closed_form_check, default_t,
-                     family_resolution_graph, milnor_fiber_invariants,
-                     plane_curve_mu, surface_mu)
+                     closed_form_check, default_t, family_resolution_graph,
+                     milnor_fiber_invariants, plane_curve_mu, surface_mu)
 from .graph import PlumbingGraph, Vertex, parse_graph, serialize_graph
 from .openbook import (EdgeCurve, OpenBookDescription, build_open_book,
                        minimal_open_book, verify_gluing)
 from .rational import Elimination
-from .report import rational_str, render_json, render_text
-from .surgery import AmbientData, SurgeryReport, surgery_characteristics
+from .report import render_json, render_text
+from .surgery import SurgeryReport, surgery_characteristics
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientData",
     "CanonicalCycle",
     "ClosedFormValues",
     "ConditionReport",
     "ConsistencyError",
-    "DimensionError",
     "EdgeCurve",
     "Elimination",
     "FamilyParams",
@@ -46,7 +42,6 @@ __all__ = [
     "ValidationError",
     "Vertex",
     "__version__",
-    "brieskorn_mu",
     "build_open_book",
     "canonical_cycle",
     "closed_form_check",
@@ -58,7 +53,6 @@ __all__ = [
     "openbook_condition",
     "parse_graph",
     "plane_curve_mu",
-    "rational_str",
     "render_json",
     "render_text",
     "serialize_graph",

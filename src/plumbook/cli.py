@@ -33,12 +33,14 @@ from .family import (FamilyParams, closed_form_check, default_t,
 from .graph import _LINE_END_RE, PlumbingGraph, _read_int, parse_graph, serialize_graph
 from .openbook import OpenBookDescription, build_open_book, minimal_open_book
 from .report import render_json, render_text
-from .surgery import AmbientData, surgery_characteristics
+from .surgery import surgery_characteristics
 
 _USAGE_EXIT = 64
 
 _PAGE_EULER_NOTE = ("derived by this tool from the multiplicities "
                     "(weighted cover count), not an input value")
+_B1_NOTE = ("b1 = 0 is assumed, not computed; it holds when the embedding of the "
+            "curve configuration is onto the ambient first homology")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,18 +181,19 @@ def _run_openbook(args) -> dict:
     return report
 
 
-def _family_params(s: int, t: int | None, N: int) -> FamilyParams:
+def _smoothing(s: int, t: int | None, N: int) -> tuple:
+    """The member's (params, resolution graph, smoothing invariants)."""
     if t is None:
         if s != 3:
             raise ValidationError("--t is required when s is not 3")
         t = default_t(N)
-    return FamilyParams(s=s, t=t, N=N)
+    params = FamilyParams(s=s, t=t, N=N)
+    graph = family_resolution_graph(params)
+    return params, graph, milnor_fiber_invariants(graph, surface_mu(params))
 
 
 def _family_member(s: int, t: int | None, N: int) -> dict:
-    params = _family_params(s, t, N)
-    graph = family_resolution_graph(params)
-    invariants = milnor_fiber_invariants(graph, surface_mu(params))
+    params, graph, invariants = _smoothing(s, t, N)
     report = {
         "s": params.s,
         "t": params.t,
@@ -252,9 +255,7 @@ def _run_surgery(args) -> dict:
     if have_family and (have_graph or have_mu):
         raise ValidationError("give either --N (family member) or -i with --mu, not both")
     if have_family:
-        params = _family_params(args.s, args.t, args.N)
-        graph = family_resolution_graph(params)
-        invariants = milnor_fiber_invariants(graph, surface_mu(params))
+        _, graph, invariants = _smoothing(args.s, args.t, args.N)
     elif have_graph and have_mu:
         graph = _read_graph(args.input)
         try:
@@ -266,14 +267,13 @@ def _run_surgery(args) -> dict:
                 f"[surgery] --mu {args.mu} does not fit the graph: {exc}") from None
     else:
         raise ValidationError("surgery needs either --N or both -i and --mu")
-    result = surgery_characteristics(AmbientData(chi=args.chi, sigma=args.sigma),
-                                     graph, invariants)
+    result = surgery_characteristics(args.chi, args.sigma, graph, invariants)
     return {
         "ambient chi": args.chi,
         "ambient sigma": args.sigma,
         "m": invariants.m,
         "h": invariants.h,
-        "chi of neighborhood": result.chi_neighborhood,
+        "chi of neighborhood": graph.chi_neighborhood,
         "mu": invariants.mu,
         "sigma of smoothing": invariants.sigma,
         "p_g": invariants.p_g,
@@ -283,7 +283,7 @@ def _run_surgery(args) -> dict:
         "chi_h": result.chi_h,
         "chi_h integral": result.chi_h_is_integral,
         "bmy defect": result.bmy_defect,
-        "b1 note": result.b1_note,
+        "b1 note": _B1_NOTE,
     }
 
 
@@ -363,14 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # a report may hold ints past Python's 4,300-digit cap; the input keeps it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
-    set_limit(0)
-    try:
-        sys.stdout.write(render_json(report) if args.json else render_text(report))
-    finally:
-        set_limit(limit)
+    sys.stdout.write(render_json(report) if args.json else render_text(report))
     return 0
 
 

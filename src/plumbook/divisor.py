@@ -27,9 +27,9 @@ O(deg_i).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _int_vector
 from .graph import PlumbingGraph
 
 
@@ -55,16 +55,12 @@ def _intersection_with(graph: PlumbingGraph, vec: Sequence[int]) -> list[int]:
             for i in range(graph.m)]
 
 
-def openbook_condition(graph: PlumbingGraph, divisor: Sequence[int]) -> ConditionReport:
+def openbook_condition(graph: PlumbingGraph, divisor: Iterable[int]) -> ConditionReport:
     """Evaluate condition (a) for an effective nonzero divisor."""
-    if len(divisor) != graph.m:
-        raise ValidationError(
-            f"divisor has {len(divisor)} entries for a graph with {graph.m} vertices")
-    if any(type(d) is not int for d in divisor):
-        raise ValidationError("divisor entries must be integers")
-    if any(d < 0 for d in divisor):
+    divisor = _int_vector(divisor, graph.m, "divisor")
+    if min(divisor) < 0:
         raise ValidationError("divisor must be effective (no negative entries)")
-    if all(d == 0 for d in divisor):
+    if not any(divisor):
         raise ValidationError("divisor must be nonzero")
     d_row = _intersection_with(graph, divisor)
     slacks = tuple(dr + deg + 2 * v.genus

@@ -93,21 +93,15 @@ class SmoothingInvariants(NamedTuple):
     b1: int = 0
 
 
-def brieskorn_mu(a: int, b: int) -> int:
-    """Milnor number (a-1)(b-1) of x^a + y^b; 0 when either branch is smooth."""
-    if a < 1 or b < 1:
-        raise ValidationError(f"exponents must be positive, got ({a}, {b})")
-    return (a - 1) * (b - 1)
-
-
 def plane_curve_mu(params: FamilyParams) -> int:
     """Milnor number of the branch curve (x^s+y^s)(x^t+y^{Nt}) at the origin."""
     # multiplicity s+t, tangent lines s+1, and one blow-up leaves a single
-    # singular point of type x^t + y^{(N-1)t}
+    # singular point of type x^t + y^{(N-1)t}, whose Milnor number is
+    # (t-1)((N-1)t-1)
     s, t, N = params.s, params.t, params.N
     d = s + t
     r = s + 1
-    return d * (d - 1) + brieskorn_mu(t, (N - 1) * t) + 1 - r
+    return d * (d - 1) + (t - 1) * ((N - 1) * t - 1) + 1 - r
 
 
 def surface_mu(params: FamilyParams) -> int:

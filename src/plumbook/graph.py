@@ -32,7 +32,7 @@ import sys
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _iterable
 from .rational import Elimination, eliminate_by_degree
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -70,7 +70,7 @@ class PlumbingGraph:
 
     def __init__(self, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()):
         declared = _Declarations()
-        for v in vertices:
+        for v in _iterable(vertices, "vertices"):
             try:
                 v = v if isinstance(v, Vertex) else Vertex(*v)
             except TypeError:
@@ -79,7 +79,7 @@ class PlumbingGraph:
             declared.vertex(v)
         if not declared.vertices:
             raise ValidationError("a plumbing graph needs at least one vertex")
-        for edge in edges:
+        for edge in _iterable(edges, "edges"):
             try:
                 u, w = () if isinstance(edge, str) else edge   # 'ab' would unpack
             except (TypeError, ValueError):

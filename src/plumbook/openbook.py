@@ -29,10 +29,10 @@ at every vertex, which `verify_gluing` checks.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .divisor import _intersection_with, minimal_openbook_divisor
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, _int_vector
 from .graph import PlumbingGraph
 
 
@@ -86,17 +86,8 @@ class OpenBookDescription(NamedTuple):
         return sum(self.binding_counts)
 
 
-def _check_binding(graph: PlumbingGraph, binding: Sequence[int]) -> tuple[int, ...]:
-    if len(binding) != graph.m:
-        raise ValidationError(
-            f"binding vector has {len(binding)} entries for {graph.m} vertices")
-    if any(type(n) is not int or n < 1 for n in binding):
-        raise ValidationError("binding entries must be integers >= 1")
-    return tuple(binding)
-
-
 def build_open_book(graph: PlumbingGraph,
-                    binding: Sequence[int],
+                    binding: Iterable[int],
                     scale: int | None = None) -> OpenBookDescription:
     """Assemble the open-book description for a positive binding vector.
 
@@ -105,7 +96,9 @@ def build_open_book(graph: PlumbingGraph,
     `scale` defaults to that k; an explicit scale must be a positive
     multiple of it.
     """
-    entries = _check_binding(graph, binding)
+    entries = _int_vector(binding, graph.m, "binding")
+    if min(entries) < 1:
+        raise ValidationError("binding entries must be integers >= 1")
     det = graph.factors.det
     scaled = graph.factors.solve_times_det([-n for n in entries])
     least = abs(det) // gcd(det, *scaled)

@@ -18,9 +18,9 @@ rows of m, so vectors go in and come out in m's own order.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Iterable
 
-from .errors import DimensionError, ValidationError
+from .errors import _int_vector
 
 
 class Elimination:
@@ -44,7 +44,7 @@ class Elimination:
         """Entries kept below the diagonal: the matrix's own plus fill-in."""
         return sum(len(column) for column in self._columns)
 
-    def solve_times_det(self, b: Sequence[int]) -> tuple[int, ...]:
+    def solve_times_det(self, b: Iterable[int]) -> tuple[int, ...]:
         """y = det(m) m^{-1} b for integral b, in integers.
 
         b, as one more column, takes the matrix's steps, so c_v is its
@@ -53,12 +53,8 @@ class Elimination:
         y_v = (D_m c_v - sum(b_vi y_i)) // D_{k+1}.
         """
         det, n = self.det, len(self.order)
-        if len(b) != n:
-            raise DimensionError(f"right-hand side of length {len(b)} against {n} rows")
-        if any(type(x) is not int for x in b):
-            raise ValidationError("right-hand side entries must be integers")
+        c = list(_int_vector(b, n, "right-hand side"))
         minors, order, columns = self.minors, self.order, self._columns
-        c = list(b)
         updated = [0] * n    # the step at which c_v was last updated
         for k, (v, column) in enumerate(zip(order, columns)):
             d_k = minors[k]

@@ -8,20 +8,22 @@ render as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
 the JSON is byte for byte `json.dumps(indent=2)` of the same tree with
-Fractions as "p/q" strings and tuples as lists.
+Fractions as "p/q" strings and tuples as lists.  The walk lifts Python's
+cap on int-to-str digits (3.10.7 on) and restores it after, so ints of
+any size print.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 _INDENT = "  "
 _json_str = None   # json.encoder's string quoting, imported by the first render_json
 
 
-def rational_str(value) -> str:
+def _rational_str(frac: Fraction) -> str:
     """Canonical "p/q" rendering, "p" when the denominator is 1."""
-    frac = value if type(value) is Fraction else Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"
@@ -36,7 +38,7 @@ def _json(value, pad: str) -> str:
     if kind is bool:
         return "true" if value else "false"
     if kind is Fraction:
-        return f'"{rational_str(value)}"'
+        return f'"{_rational_str(value)}"'
     if value is None:
         return "null"
     inner = pad + _INDENT
@@ -53,12 +55,23 @@ def _json(value, pad: str) -> str:
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
+def _uncapped(walk, *args):
+    """walk(*args) with the int-to-str digit cap lifted, restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        return walk(*args)
+    finally:
+        set_limit(limit)
+
+
 def render_json(data: dict) -> str:
     """JSON with two-space indent, keys in insertion order, trailing newline."""
     global _json_str
     if _json_str is None:
         from json.encoder import encode_basestring_ascii as _json_str
-    return _json(data, "") + "\n"
+    return _uncapped(_json, data, "") + "\n"
 
 
 def _scalar_str(value) -> str:
@@ -66,7 +79,7 @@ def _scalar_str(value) -> str:
     if kind is bool:
         return "yes" if value else "no"
     if kind is Fraction:
-        return rational_str(value)
+        return _rational_str(value)
     if kind is list or kind is tuple:
         return "(" + ", ".join(map(_scalar_str, value)) + ")"
     return str(value)
@@ -95,5 +108,5 @@ def _render_block(data: dict, depth: int, lines: list) -> None:
 def render_text(data: dict) -> str:
     """Indented "key: value" listing with a trailing newline."""
     lines: list = []
-    _render_block(data, 0, lines)
+    _uncapped(_render_block, data, 0, lines)
     return "\n".join(lines) + "\n"

@@ -26,45 +26,13 @@ from .family import SmoothingInvariants
 from .graph import PlumbingGraph
 
 
-class _AmbientFields(NamedTuple):
-    chi: int
-    sigma: int
-
-
-class AmbientData(_AmbientFields):
-    """Euler characteristic and signature of the ambient 4-manifold.
-
-    Both are user-supplied; nothing here derives them.
-    """
-    __slots__ = ()
-
-    def __new__(cls, chi: int, sigma: int):
-        for field, value in (("chi", chi), ("sigma", sigma)):
-            if type(value) is not int:
-                raise ValidationError(f"{field} must be an integer, got {value!r}")
-        return super().__new__(cls, chi, sigma)
-
-    @classmethod
-    def _make(cls, iterable):   # so that _replace checks the new values too
-        return cls(*iterable)
-
-
-_B1_NOTE = (
-    "b1 = 0 is assumed, not computed; it holds when the embedding of the "
-    "curve configuration is onto the ambient first homology"
-)
-
-
 class SurgeryReport(NamedTuple):
-    """Characteristic numbers of the result; chi_neighborhood is the Euler
-    characteristic of the neighborhood that was cut out."""
-    chi_neighborhood: int
+    """Characteristic numbers of the result."""
     chi: int
     sigma: int
     c1_squared: int
     chi_h: Fraction
     bmy_defect: Fraction
-    b1_note: str = _B1_NOTE
 
     @property
     def chi_h_is_integral(self) -> bool:
@@ -72,27 +40,31 @@ class SurgeryReport(NamedTuple):
 
 
 def surgery_characteristics(
-    ambient: AmbientData,
+    chi: int,
+    sigma: int,
     graph: PlumbingGraph,
     invariants: SmoothingInvariants,
 ) -> SurgeryReport:
     """Characteristic numbers after swapping the neighborhood for the smoothing.
 
-    The invariants must have been computed from the same graph; their
-    recorded m and h are cross-checked against it.
+    chi and sigma are the ambient manifold's, user-supplied ints; nothing
+    here derives them.  The invariants must have been computed from the
+    same graph; their recorded m and h are cross-checked against it.
     """
+    for field, value in (("chi", chi), ("sigma", sigma)):
+        if type(value) is not int:
+            raise ValidationError(f"{field} must be an integer, got {value!r}")
     if invariants.m != graph.m or invariants.h != graph.h:
         raise ValidationError(
             "invariants were computed from a different graph: "
             f"(m, h) = ({invariants.m}, {invariants.h}) vs "
             f"({graph.m}, {graph.h})")
-    chi = ambient.chi - graph.chi_neighborhood + 1 + invariants.mu
-    sigma = ambient.sigma + graph.m + invariants.sigma
+    chi = chi - graph.chi_neighborhood + 1 + invariants.mu
+    sigma = sigma + graph.m + invariants.sigma
     c1_squared = 2 * chi + 3 * sigma
     chi_h = Fraction(chi + sigma, 4)
     bmy_defect = 9 * chi_h - c1_squared
     return SurgeryReport(
-        chi_neighborhood=graph.chi_neighborhood,
         chi=chi,
         sigma=sigma,
         c1_squared=c1_squared,

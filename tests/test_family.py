@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from plumbook import (ConsistencyError, FamilyParams, SmoothingInvariants,
-                      ValidationError, brieskorn_mu, canonical_cycle,
+                      ValidationError, canonical_cycle,
                       closed_form_check, default_t, family_resolution_graph,
                       milnor_fiber_invariants, plane_curve_mu, surface_mu)
 
@@ -55,11 +55,15 @@ class TestFamilyParams:
 
 class TestMilnorNumbers:
     def test_brieskorn(self):
-        assert brieskorn_mu(57, 114) == 6328
-        assert brieskorn_mu(2, 2) == 1
-        assert brieskorn_mu(1, 99) == 0
+        # plane_curve_mu is d(d-1) + 1 - r plus the Milnor number
+        # (t-1)((N-1)t-1) of the point x^t + y^{(N-1)t} left by the blow-up
+        for (s, t, N), brieskorn in [((3, 57, 3), 6328),   # x^57 + y^114: 56 * 113
+                                     ((1, 2, 4), 5),       # x^2 + y^6: 1 * 5
+                                     ((98, 1, 100), 0)]:   # x + y^99 is smooth
+            d, r = s + t, s + 1
+            assert plane_curve_mu(FamilyParams(s, t, N)) - d * (d - 1) - 1 + r == brieskorn
         with pytest.raises(ValidationError):
-            brieskorn_mu(0, 5)
+            plane_curve_mu(FamilyParams(s=3, t=0, N=3))
 
     def test_plane_mu_n3(self):
         assert plane_curve_mu(s3_params(3)) == 9865

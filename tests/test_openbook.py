@@ -1,6 +1,7 @@
 import hashlib
 import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,13 @@ import plumbook.cli
 import plumbook.openbook
 from plumbook import (ConsistencyError, MinimalDivisor, ValidationError,
                       build_open_book, minimal_open_book,
-                      minimal_openbook_divisor, serialize_graph, verify_gluing)
+                      minimal_openbook_divisor, parse_graph, serialize_graph,
+                      verify_gluing)
 from plumbook.cli import main
 
 from .conftest import intersection_rows
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def solved(graph, binding) -> tuple[int, tuple[int, ...]]:
@@ -239,13 +243,14 @@ def test_openbook_checks_each_assembled_description_once(args, books, json, glui
 @pytest.fixture
 def binding_checks(monkeypatch):
     calls = []
-    check = plumbook.openbook._check_binding
+    check = plumbook.openbook._int_vector
 
-    def counting(graph, binding):
-        calls.append(tuple(binding))
-        return check(graph, binding)
+    def counting(values, length, name):
+        vector = check(values, length, name)
+        calls.append(vector)
+        return vector
 
-    monkeypatch.setattr(plumbook.openbook, "_check_binding", counting)
+    monkeypatch.setattr(plumbook.openbook, "_int_vector", counting)
     return calls
 
 
@@ -253,4 +258,11 @@ def binding_checks(monkeypatch):
 def test_build_open_book_checks_its_binding_once(scale, binding_checks, fixed_corpus):
     book = build_open_book(fixed_corpus["family_n3"], (3, 57), scale=scale)
     assert binding_checks == [(3, 57)]
+    assert book.binding == (3, 57)
+
+
+def test_a_binding_may_be_any_iterable_of_ints():
+    graph = parse_graph((GOLDEN / "family_n3.pg").read_text(encoding="utf-8"))
+    book = build_open_book(graph, iter([3, 57]))
+    assert book.multiplicities == (30, 87)
     assert book.binding == (3, 57)

@@ -1,8 +1,8 @@
 """The public record types keep their contract, and README's example runs.
 
 Each record is an immutable tuple: keyword construction, no assignment,
-and a repr that reads `Name(field=value, ...)`.  `FamilyParams` and
-`AmbientData` also check their values whenever one is made.
+and a repr that reads `Name(field=value, ...)`.  `FamilyParams` also
+checks its values whenever one is made.
 """
 
 import contextlib
@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbook import (AmbientData, CanonicalCycle, ConditionReport, EdgeCurve,
-                      FamilyParams, OpenBookDescription, PlumbingGraph,
-                      SmoothingInvariants, SurgeryReport, ValidationError, Vertex,
-                      build_open_book, milnor_fiber_invariants, openbook_condition)
+from plumbook import (CanonicalCycle, ConditionReport, EdgeCurve, FamilyParams,
+                      OpenBookDescription, PlumbingGraph, SmoothingInvariants,
+                      SurgeryReport, ValidationError, Vertex, build_open_book,
+                      milnor_fiber_invariants, openbook_condition, parse_graph,
+                      surgery_characteristics)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 GRAPH = PlumbingGraph([("A", -3, 1), ("B", -1, 28)], [("A", "B")])
+INVARIANTS = milnor_fiber_invariants(GRAPH, 9865)
 
 RECORDS = [
     (Vertex, {"id": "a", "euler": -2, "genus": 0}),
@@ -33,10 +36,9 @@ RECORDS = [
     (ConditionReport, {"holds": True, "slacks": (-1, 0)}),
     (SmoothingInvariants, {"mu": 205347, "sigma": -86437, "p_g": 29816,
                            "k_squared": -152093, "h": 354, "m": 2, "b1": 0}),
-    (SurgeryReport, {"chi_neighborhood": -60, "chi": 100, "sigma": -20, "c1_squared": 140,
-                     "chi_h": Fraction(20), "bmy_defect": Fraction(40), "b1_note": "assumed"}),
+    (SurgeryReport, {"chi": 100, "sigma": -20, "c1_squared": 140,
+                     "chi_h": Fraction(20), "bmy_defect": Fraction(40)}),
     (FamilyParams, {"s": 3, "t": 57, "N": 3}),
-    (AmbientData, {"chi": 1, "sigma": -100}),
 ]
 
 
@@ -62,16 +64,11 @@ class TestRecordContract:
 
 def test_defaults():
     assert SmoothingInvariants(mu=1, sigma=-1, p_g=0, k_squared=0, h=0, m=1).b1 == 0
-    report = SurgeryReport(chi_neighborhood=2, chi=3, sigma=-1, c1_squared=3,
-                           chi_h=Fraction(1, 2), bmy_defect=Fraction(3, 2))
-    assert report.b1_note.startswith("b1 = 0 is assumed")
 
 
 @pytest.mark.parametrize("record, change, message", [
     (FamilyParams(s=3, t=57, N=3), {"N": 2}, "N must be at least 3, got N=2"),
     (FamilyParams(s=3, t=57, N=3), {"t": 4}, "N-1 = 2 must divide s+t = 7"),
-    (AmbientData(chi=1, sigma=0), {"chi": 1.5}, "chi must be an integer, got 1.5"),
-    (AmbientData(chi=1, sigma=0), {"sigma": True}, "sigma must be an integer, got True"),
 ])
 def test_replace_checks_the_new_values(record, change, message):
     with pytest.raises(ValidationError) as caught:
@@ -88,16 +85,25 @@ INT_ENTRIES = {
                               False),
     "solve_times_det": (lambda v: GRAPH.factors.solve_times_det(v), [1, 2], True),
     "FamilyParams": (lambda v: FamilyParams(*v), [3, 57, 3], False),
-    "AmbientData": (lambda v: AmbientData(*v), [1, -100], False),
+    "surgery_characteristics": (lambda v: surgery_characteristics(v[0], v[1], GRAPH, INVARIANTS),
+                                [1, -100], False),
     "milnor_fiber_invariants": (lambda v: milnor_fiber_invariants(GRAPH, v[0]), [9865], False),
     "PlumbingGraph weights": (lambda v: PlumbingGraph([("A", v[0], v[1]), ("B", v[2], v[3])],
                                                       [("A", "B")]), [-3, 1, -1, 28], False),
+}
+
+# the arguments that must be iterable and hold no ints themselves, as a
+# call on that argument
+ITERABLE_ARGUMENTS = {
+    "PlumbingGraph vertices": lambda v: PlumbingGraph(v),
+    "PlumbingGraph edges": lambda v: PlumbingGraph([("a", -2, 0)], v),
 }
 
 # a float or a Fraction may hold an integral value, and a bool is an int
 # subclass: none of them is an int, and each is rejected, never converted
 NOT_INTS = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=4),
                      st.fractions())
+NOT_ITERABLES = st.one_of(st.none(), st.integers(), st.builds(object))
 
 
 @pytest.mark.parametrize("name", INT_ENTRIES)
@@ -106,11 +112,33 @@ def test_each_int_entry_accepts_ints(name):
     call(valid)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: build_open_book(g, None),
+    lambda g: openbook_condition(g, 5),
+    lambda g: g.factors.solve_times_det(None),
+    lambda g: PlumbingGraph(None),
+    lambda g: PlumbingGraph([("a", -2, 0)], None),
+], ids=["build_open_book", "openbook_condition", "solve_times_det", "PlumbingGraph vertices",
+        "PlumbingGraph edges"])
+def test_a_non_iterable_is_a_validation_error(call):
+    graph = parse_graph((GOLDEN / "family_n3.pg").read_text(encoding="utf-8"))
+    with pytest.raises(ValidationError, match="must be iterable, got (NoneType|int)$"):
+        call(graph)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(list(INT_ENTRIES)), st.data())
+@given(st.sampled_from(list(INT_ENTRIES) + list(ITERABLE_ARGUMENTS)), st.data())
 def test_a_non_int_or_a_wrong_length_is_a_validation_error(name, data):
+    if name in ITERABLE_ARGUMENTS:
+        with pytest.raises(ValidationError):
+            ITERABLE_ARGUMENTS[name](data.draw(NOT_ITERABLES))
+        return
     call, valid, vector = INT_ENTRIES[name]
-    if vector and data.draw(st.booleans()):
+    fault = data.draw(st.sampled_from(["entry", "length", "whole"]) if vector
+                      else st.just("entry"))
+    if fault == "whole":
+        arguments = data.draw(NOT_ITERABLES)
+    elif fault == "length":
         length = data.draw(st.integers(0, 5).filter(lambda n: n != len(valid)))
         arguments = [1] * length
     else:

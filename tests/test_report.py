@@ -5,22 +5,73 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plumbook import rational_str, render_json, render_text
+import sys
+
+from plumbook import render_json, render_text
+
+
+def rendered(value) -> tuple[str, str]:
+    """How render_text and render_json show `value`, JSON's quotes dropped."""
+    text = render_text({"x": value}).removeprefix("x: ").removesuffix("\n")
+    shown = render_json({"x": value}).removeprefix('{\n  "x": ').removesuffix("\n}\n")
+    return text, shown.strip('"')
 
 
 class TestRationalStr:
     def test_proper_fraction(self):
-        assert rational_str(Fraction(4777, 4)) == "4777/4"
+        assert rendered(Fraction(4777, 4)) == ("4777/4", "4777/4")
 
     def test_negative_sign_on_numerator(self):
-        assert rational_str(Fraction(-1, 3)) == "-1/3"
-        assert rational_str(Fraction(1, -3)) == "-1/3"
+        assert rendered(Fraction(-1, 3)) == ("-1/3", "-1/3")
+        assert rendered(Fraction(1, -3)) == ("-1/3", "-1/3")
 
     def test_integral_values_collapse(self):
-        assert rational_str(Fraction(6, 3)) == "2"
-        assert rational_str(Fraction(-4, 2)) == "-2"
-        assert rational_str(5) == "5"
-        assert rational_str(0) == "0"
+        assert rendered(Fraction(6, 3)) == ("2", "2")
+        assert rendered(Fraction(-4, 2)) == ("-2", "-2")
+        assert rendered(Fraction(5)) == ("5", "5")
+        assert rendered(Fraction(0)) == ("0", "0")
+        assert rendered(5) == ("5", "5")
+        assert rendered(0) == ("0", "0")
+
+
+# 10^5000 has 5,001 digits, past Python's default cap of 4,300 (3.10.7 on);
+# its decimal strings are built here without int-to-str conversion
+HUGE, HUGE_DIGITS = 10 ** 5000, "1" + "0" * 5000
+HUGE_PLUS_ONE_DIGITS = HUGE_DIGITS[:-1] + "1"
+
+
+def digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class Unprintable:
+    """A value neither renderer can write: JSON rejects its type, and the
+    text format's str() raises."""
+
+    def __str__(self):
+        raise TypeError("no text for this value")
+
+
+class TestPastTheDigitLimit:
+    @pytest.mark.parametrize("value, digits", [
+        (HUGE, HUGE_DIGITS),
+        (-HUGE, "-" + HUGE_DIGITS),
+        (Fraction(HUGE + 1, 3), HUGE_PLUS_ONE_DIGITS + "/3"),
+    ], ids=["int", "negative int", "Fraction"])
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_prints_and_leaves_the_limit_as_it_was(self, render, value, digits):
+        limit = digit_limit()
+        out = render({"x": value})
+        assert digit_limit() == limit
+        assert out in (f"x: {digits}\n", f'{{\n  "x": {digits}\n}}\n',
+                       f'{{\n  "x": "{digits}"\n}}\n')
+
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_a_render_that_raises_leaves_the_limit_too(self, render):
+        limit = digit_limit()
+        with pytest.raises(TypeError):
+            render({"x": HUGE, "y": Unprintable()})
+        assert digit_limit() == limit
 
 
 class TestRenderJson:

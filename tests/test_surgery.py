@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from plumbook import (AmbientData, SmoothingInvariants, ValidationError,
-                      family_resolution_graph, milnor_fiber_invariants,
-                      surface_mu, surgery_characteristics)
+from plumbook import (SmoothingInvariants, ValidationError, family_resolution_graph,
+                      milnor_fiber_invariants, surface_mu, surgery_characteristics)
+from plumbook.cli import main
 
 from .conftest import SEED, s3_params
 
@@ -17,23 +17,20 @@ def family_inputs(N):
 
 
 class TestAmbientData:
-    def test_plain_fields(self):
-        ambient = AmbientData(chi=1, sigma=-100)
-        assert (ambient.chi, ambient.sigma) == (1, -100)
-
     def test_rejects_non_integers(self):
-        with pytest.raises(ValidationError):
-            AmbientData(chi=1.5, sigma=0)
-        with pytest.raises(ValidationError):
-            AmbientData(chi=1, sigma="0")
-        with pytest.raises(ValidationError):
-            AmbientData(chi=True, sigma=0)
+        graph, invariants = family_inputs(3)
+        with pytest.raises(ValidationError, match=r"^chi must be an integer, got 1\.5$"):
+            surgery_characteristics(1.5, 0, graph, invariants)
+        with pytest.raises(ValidationError, match="^sigma must be an integer, got '0'$"):
+            surgery_characteristics(1, "0", graph, invariants)
+        with pytest.raises(ValidationError, match="^chi must be an integer, got True$"):
+            surgery_characteristics(True, 0, graph, invariants)
 
 
 class TestSurgeryCharacteristics:
     def test_family_member_example(self):
         graph, invariants = family_inputs(3)
-        report = surgery_characteristics(AmbientData(1, -100), graph, invariants)
+        report = surgery_characteristics(1, -100, graph, invariants)
         assert report.chi == 9922
         assert report.sigma == -5145
         assert report.c1_squared == 4409
@@ -45,7 +42,7 @@ class TestSurgeryCharacteristics:
         graph = fixed_corpus["single_torus"]
         invariants = milnor_fiber_invariants(graph, 10)
         assert invariants.sigma == -8
-        report = surgery_characteristics(AmbientData(100, -20), graph, invariants)
+        report = surgery_characteristics(100, -20, graph, invariants)
         assert report.chi == 111
         assert report.sigma == -27
 
@@ -55,14 +52,14 @@ class TestSurgeryCharacteristics:
         graph = fixed_corpus["a1"]
         invariants = SmoothingInvariants(mu=0, sigma=-1, p_g=0, k_squared=0,
                                          h=0, m=1)
-        report = surgery_characteristics(AmbientData(50, 7), graph, invariants)
+        report = surgery_characteristics(50, 7, graph, invariants)
         assert report.chi == 49
         assert report.sigma == 7
 
     def test_mismatched_graph_rejected(self, fixed_corpus):
         _, invariants = family_inputs(3)
         with pytest.raises(ValidationError, match="different graph"):
-            surgery_characteristics(AmbientData(0, 0), fixed_corpus["a1"],
+            surgery_characteristics(0, 0, fixed_corpus["a1"],
                                     invariants)
 
     def test_identities_hold_on_random_inputs(self, fixed_corpus):
@@ -71,31 +68,32 @@ class TestSurgeryCharacteristics:
         for _ in range(25):
             mu = 12 * rng.randint(1, 50) + 10  # keeps both divisibilities
             invariants = milnor_fiber_invariants(graph, mu)
-            ambient = AmbientData(rng.randint(-50, 50), rng.randint(-50, 50))
-            report = surgery_characteristics(ambient, graph, invariants)
-            assert report.chi == (ambient.chi - graph.chi_neighborhood
-                                  + 1 + invariants.mu)
-            assert report.sigma == ambient.sigma + graph.m + invariants.sigma
+            chi, sigma = rng.randint(-50, 50), rng.randint(-50, 50)
+            report = surgery_characteristics(chi, sigma, graph, invariants)
+            assert report.chi == chi - graph.chi_neighborhood + 1 + invariants.mu
+            assert report.sigma == sigma + graph.m + invariants.sigma
             assert report.c1_squared == 2 * report.chi + 3 * report.sigma
             assert report.chi_h == Fraction(report.chi + report.sigma, 4)
             assert report.bmy_defect == 9 * report.chi_h - report.c1_squared
 
-    def test_b1_note_present(self):
-        graph, invariants = family_inputs(3)
-        report = surgery_characteristics(AmbientData(0, 0), graph, invariants)
-        assert "b1 = 0" in report.b1_note
-        assert "assumed" in report.b1_note
+    def test_b1_note_present(self, capsys):
+        assert main(["surgery", "--N", "3", "--chi", "0", "--sigma", "0"]) == 0
+        note = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("b1 note: ")]
+        assert len(note) == 1
+        assert "b1 = 0" in note[0]
+        assert "assumed" in note[0]
 
     def test_integral_chi_h_flag(self, fixed_corpus):
         # chi + sigma = (2 - 2 + 1 + 0) + (0 + 1 - 1) = 1, not divisible
         graph = fixed_corpus["a1"]
         invariants = SmoothingInvariants(mu=0, sigma=-1, p_g=0, k_squared=0,
                                          h=0, m=1)
-        report = surgery_characteristics(AmbientData(2, 0), graph, invariants)
+        report = surgery_characteristics(2, 0, graph, invariants)
         assert report.chi == 1
         assert report.sigma == 0
         assert not report.chi_h_is_integral
         # shift the ambient data so the sum becomes divisible by 4
-        report = surgery_characteristics(AmbientData(5, 0), graph, invariants)
+        report = surgery_characteristics(5, 0, graph, invariants)
         assert (report.chi + report.sigma) % 4 == 0
         assert report.chi_h_is_integral
