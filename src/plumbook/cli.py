@@ -39,6 +39,7 @@ _USAGE_EXIT = 64
 
 _PAGE_EULER_NOTE = ("derived by this tool from the multiplicities "
                     "(weighted cover count), not an input value")
+_B1 = 0   # assumed, not computed: see _B1_NOTE
 _B1_NOTE = ("b1 = 0 is assumed, not computed; it holds when the embedding of the "
             "curve configuration is onto the ambient first homology")
 
@@ -49,6 +50,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _argv_int(text: str) -> int:
+    """argparse type of the int flags: int(text), and past the digit limit a
+    usage error that names the limit and cuts the value to 20 characters."""
+    try:
+        value = _read_int(text, "value", text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _read_graph(path: str) -> PlumbingGraph:
@@ -182,31 +195,31 @@ def _run_openbook(args) -> dict:
 
 
 def _smoothing(s: int, t: int | None, N: int) -> tuple:
-    """The member's (params, resolution graph, smoothing invariants)."""
+    """The member's (params, smoothing invariants)."""
     if t is None:
         if s != 3:
             raise ValidationError("--t is required when s is not 3")
         t = default_t(N)
     params = FamilyParams(s=s, t=t, N=N)
-    graph = family_resolution_graph(params)
-    return params, graph, milnor_fiber_invariants(graph, surface_mu(params))
+    return params, milnor_fiber_invariants(family_resolution_graph(params), surface_mu(params))
 
 
 def _family_member(s: int, t: int | None, N: int) -> dict:
-    params, graph, invariants = _smoothing(s, t, N)
+    params, invariants = _smoothing(s, t, N)
+    graph = invariants.graph
     report = {
         "s": params.s,
         "t": params.t,
         "N": params.N,
         "genera": tuple(v.genus for v in graph.vertices),
-        "m": invariants.m,
-        "h": invariants.h,
+        "m": graph.m,
+        "h": graph.h,
         "k squared": invariants.k_squared,
         "mu plane": plane_curve_mu(params),
         "mu": invariants.mu,
         "sigma": invariants.sigma,
         "p_g": invariants.p_g,
-        "b1": invariants.b1,
+        "b1": _B1,
     }
     if s == 3 and params.t == default_t(N):
         closed = closed_form_check(N)
@@ -255,11 +268,10 @@ def _run_surgery(args) -> dict:
     if have_family and (have_graph or have_mu):
         raise ValidationError("give either --N (family member) or -i with --mu, not both")
     if have_family:
-        _, graph, invariants = _smoothing(args.s, args.t, args.N)
+        _, invariants = _smoothing(args.s, args.t, args.N)
     elif have_graph and have_mu:
-        graph = _read_graph(args.input)
-        try:
-            invariants = milnor_fiber_invariants(graph, args.mu)
+        try:   # reading the graph raises no ConsistencyError
+            invariants = milnor_fiber_invariants(_read_graph(args.input), args.mu)
         except ConsistencyError as exc:
             # a computed mu can only disagree with its graph through a bug;
             # a given one disagrees when the user paired the wrong numbers
@@ -267,12 +279,13 @@ def _run_surgery(args) -> dict:
                 f"[surgery] --mu {args.mu} does not fit the graph: {exc}") from None
     else:
         raise ValidationError("surgery needs either --N or both -i and --mu")
-    result = surgery_characteristics(args.chi, args.sigma, graph, invariants)
+    result = surgery_characteristics(args.chi, args.sigma, invariants)
+    graph = invariants.graph
     return {
         "ambient chi": args.chi,
         "ambient sigma": args.sigma,
-        "m": invariants.m,
-        "h": invariants.h,
+        "m": graph.m,
+        "h": graph.h,
         "chi of neighborhood": graph.chi_neighborhood,
         "mu": invariants.mu,
         "sigma of smoothing": invariants.sigma,
@@ -305,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graph file ('-' for standard input)")
 
     def add_family_params(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--s", type=int, default=3, help="first exponent (default 3)")
-        sub.add_argument("--t", type=int, default=None,
+        sub.add_argument("--s", type=_argv_int, default=3, help="first exponent (default 3)")
+        sub.add_argument("--t", type=_argv_int, default=None,
                          help="second exponent (default 30N-33 when s=3)")
-        sub.add_argument("--N", type=int, default=None, help="suspension exponent")
+        sub.add_argument("--N", type=_argv_int, default=None, help="suspension exponent")
 
     add_input(add("check", "validate a graph and print derived data", _run_check))
     add_input(add("canonical", "canonical cycle coefficients and K^2", _run_canonical))
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(openbook)
     openbook.add_argument("--n", metavar="ID=INT,...", default=None,
                           help="binding vector (default: from the minimal divisor)")
-    openbook.add_argument("--k", type=int, default=None,
+    openbook.add_argument("--k", type=_argv_int, default=None,
                           help="scale, a positive multiple of the minimal one")
 
     family = add("family", "smoothing invariants of an (s, t, N) family member",
@@ -333,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
                   _run_surgery)
     add_input(surgery, required=False)
     add_family_params(surgery)
-    surgery.add_argument("--mu", type=int, default=None,
+    surgery.add_argument("--mu", type=_argv_int, default=None,
                          help="Milnor number to pair with the -i graph")
-    surgery.add_argument("--chi", type=int, required=True,
+    surgery.add_argument("--chi", type=_argv_int, required=True,
                          help="Euler characteristic of the ambient manifold")
-    surgery.add_argument("--sigma", type=int, required=True,
+    surgery.add_argument("--sigma", type=_argv_int, required=True,
                          help="signature of the ambient manifold")
 
     parser.commands = subcommands.choices    # subcommand name -> its parser

@@ -23,6 +23,17 @@ d', raising the other coordinates only adds to row i, so d'_i >= d_i +
 jump: no jump overshoots, and the first feasible d reached is the
 pointwise minimum.  A jump updates row i and its neighbours' rows only,
 O(deg_i).
+
+The number of jumps is bounded too.  Let y = I^{-1}(c - deg), d_up =
+ceil(y) and u = d_up - y in [0, 1)^m.  Then
+
+    (I.d_up)_i = c_i - deg_i + e_i u_i + sum over j ~ i of u_j,
+
+where e_i u_i <= 0 (e_i < 0 on a negative definite graph) and the sum is
+below deg_i when deg_i >= 1 and is 0 otherwise.  So the integer
+(I.d_up)_i is at most c_i: d_up is feasible, and the minimum d* <= d_up.
+Each jump raises by at least 1, so jumps <= sum(d* - d0) <= sum(d_up - d0),
+one more substitution to evaluate.
 """
 
 from __future__ import annotations

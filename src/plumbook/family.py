@@ -84,13 +84,12 @@ def default_t(N: int) -> int:
 
 
 class SmoothingInvariants(NamedTuple):
+    """Invariants of the Milnor fiber of the singularity resolved by `graph`."""
+    graph: PlumbingGraph
     mu: int
     sigma: int
     p_g: int
     k_squared: int
-    h: int
-    m: int
-    b1: int = 0
 
 
 def plane_curve_mu(params: FamilyParams) -> int:
@@ -148,13 +147,11 @@ def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariant
     if p_g < 0:
         raise ConsistencyError(f"geometric genus came out negative: {p_g}")
     return SmoothingInvariants(
+        graph=graph,
         mu=mu,
         sigma=-(sigma_num // 3),
         p_g=p_g,
         k_squared=k_squared,
-        h=graph.h,
-        m=graph.m,
-        b1=0,
     )
 
 

@@ -76,13 +76,19 @@ def render_json(data: dict) -> str:
 
 def _scalar_str(value) -> str:
     kind = type(value)
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
     if kind is bool:
         return "yes" if value else "no"
     if kind is Fraction:
         return _rational_str(value)
+    if value is None:
+        return "None"
     if kind is list or kind is tuple:
         return "(" + ", ".join(map(_scalar_str, value)) + ")"
-    return str(value)
+    raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
 def _render_block(data: dict, depth: int, lines: list) -> None:

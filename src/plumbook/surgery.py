@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .family import SmoothingInvariants
-from .graph import PlumbingGraph
 
 
 class SurgeryReport(NamedTuple):
@@ -42,23 +41,18 @@ class SurgeryReport(NamedTuple):
 def surgery_characteristics(
     chi: int,
     sigma: int,
-    graph: PlumbingGraph,
     invariants: SmoothingInvariants,
 ) -> SurgeryReport:
     """Characteristic numbers after swapping the neighborhood for the smoothing.
 
     chi and sigma are the ambient manifold's, user-supplied ints; nothing
-    here derives them.  The invariants must have been computed from the
-    same graph; their recorded m and h are cross-checked against it.
+    here derives them.  The configuration is the graph the invariants were
+    computed from, `invariants.graph`.
     """
     for field, value in (("chi", chi), ("sigma", sigma)):
         if type(value) is not int:
             raise ValidationError(f"{field} must be an integer, got {value!r}")
-    if invariants.m != graph.m or invariants.h != graph.h:
-        raise ValidationError(
-            "invariants were computed from a different graph: "
-            f"(m, h) = ({invariants.m}, {invariants.h}) vs "
-            f"({graph.m}, {graph.h})")
+    graph = invariants.graph
     chi = chi - graph.chi_neighborhood + 1 + invariants.mu
     sigma = sigma + graph.m + invariants.sigma
     c1_squared = 2 * chi + 3 * sigma

@@ -566,6 +566,42 @@ def test_a_value_past_the_digit_limit_is_one_short_error_line(argv, name, shown,
     assert len(err) < 200
 
 
+INT_FLAGS = {
+    "N": ["family", "--N", "{}"],
+    "s": ["family", "--N", "5", "--s", "{}"],
+    "t": ["family", "--N", "5", "--t", "{}"],
+    "k": ["openbook", "-i", A1, "--k", "{}"],
+    "mu": ["surgery", "--chi", "1", "--sigma", "1", "--mu", "{}"],
+    "chi": ["surgery", "--sigma", "1", "--chi", "{}"],
+    "sigma": ["surgery", "--chi", "1", "--sigma", "{}"],
+}
+
+
+def int_flag_argv(flag: str, value: str) -> list[str]:
+    return [value if arg == "{}" else arg for arg in INT_FLAGS[flag]]
+
+
+# the seven int flags read argv by the same rule, as usage errors (exit 64)
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter has no digit limit for int strings")
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_an_int_flag_past_the_digit_limit_is_a_short_usage_error(flag, capsys):
+    code, out, err = run(capsys, *int_flag_argv(flag, NINES))
+    assert (code, out) == (64, "")
+    assert err.startswith("usage: plumbook ")
+    assert err.endswith(f": error: argument --{flag}: value has {DIGIT_LIMIT + 1} digits, "
+                        f"more than the interpreter's limit of {DIGIT_LIMIT}; "
+                        f"got {NINES[:20] + '...'!r}\n")
+    assert len(err.encode()) < 400
+
+
+@pytest.mark.parametrize("value", ["1.5", ""])
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_a_malformed_int_flag_keeps_its_usage_error(flag, value, capsys):
+    code, out, err = run(capsys, *int_flag_argv(flag, value))
+    assert (code, out) == (64, "")
+    assert err.endswith(f": error: argument --{flag}: invalid int value: {value!r}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["openbook", "-i", A1, "--n", "a=x"], "binding entry 'a=x' is not of the form id=integer"),
     (["openbook", "-i", A1, "--n", "a"], "binding entry 'a' is not of the form id=integer"),

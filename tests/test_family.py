@@ -118,14 +118,13 @@ class TestMilnorFiberInvariants:
             assert invariants.mu == mu
             assert invariants.sigma == sigma
             assert invariants.p_g == p_g
-            assert invariants.b1 == 0
 
     def test_n3_details(self):
         graph = family_resolution_graph(s3_params(3))
         invariants = milnor_fiber_invariants(graph, 9865)
         assert invariants.k_squared == -4707
-        assert invariants.h == 58
-        assert invariants.m == 2
+        assert invariants.graph.h == 58
+        assert invariants.graph.m == 2
 
     def test_n6_k_squared(self):
         graph = family_resolution_graph(s3_params(6))
@@ -160,11 +159,11 @@ class TestMilnorFiberInvariants:
         with pytest.raises(ConsistencyError, match="negative"):
             milnor_fiber_invariants(fixed_corpus["a1"], -11)
 
-    def test_plain_container(self):
+    def test_plain_container(self, fixed_corpus):
         # the container performs no validation; surgery relies on that
-        invariants = SmoothingInvariants(mu=0, sigma=-1, p_g=0, k_squared=0,
-                                         h=0, m=1)
-        assert invariants.b1 == 0
+        graph = fixed_corpus["a1"]
+        invariants = SmoothingInvariants(graph=graph, mu=0, sigma=-1, p_g=0, k_squared=0)
+        assert invariants == (graph, 0, -1, 0, 0)
 
 
 class TestClosedForm:

@@ -89,9 +89,15 @@ def _cases() -> dict[str, list[str]]:
         cases.update(_graph_cases(name, graph))
     family = str(GOLDEN / "family_n3.pg")
     cases["other/family-N5.txt"] = ["family", "--N", "5"]
+    cases["other/family-N5.json"] = ["family", "--N", "5", "--json"]
+    cases["other/family-s1-t3-N3.txt"] = ["family", "--s", "1", "--t", "3", "--N", "3"]
     cases["other/family-sweep.json"] = ["family", "--sweep", "3..12", "--json"]
     cases["other/surgery-N3.txt"] = ["surgery", "--chi", "1", "--sigma", "-100",
                                      "--N", "3"]
+    cases["other/surgery-N3.json"] = ["surgery", "--chi", "1", "--sigma", "-100",
+                                      "--N", "3", "--json"]
+    cases["other/surgery-graph.txt"] = ["surgery", "--chi", "100", "--sigma", "-20",
+                                        "-i", family, "--mu", "13"]
     cases["other/surgery-graph.json"] = ["surgery", "--chi", "100", "--sigma", "-20",
                                          "-i", family, "--mu", "13", "--json"]
     return cases

@@ -34,8 +34,8 @@ RECORDS = [
     (CanonicalCycle, {"coefficients": (Fraction(-1, 3), Fraction(2)),
                       "k_squared": Fraction(-4707), "adjunction_rhs": (1, 55)}),
     (ConditionReport, {"holds": True, "slacks": (-1, 0)}),
-    (SmoothingInvariants, {"mu": 205347, "sigma": -86437, "p_g": 29816,
-                           "k_squared": -152093, "h": 354, "m": 2, "b1": 0}),
+    (SmoothingInvariants, {"graph": GRAPH, "mu": 9865, "sigma": -5047, "p_g": 1219,
+                           "k_squared": -4707}),
     (SurgeryReport, {"chi": 100, "sigma": -20, "c1_squared": 140,
                      "chi_h": Fraction(20), "bmy_defect": Fraction(40)}),
     (FamilyParams, {"s": 3, "t": 57, "N": 3}),
@@ -62,10 +62,6 @@ class TestRecordContract:
         assert repr(kind(**fields)) == f"{kind.__name__}({shown})"
 
 
-def test_defaults():
-    assert SmoothingInvariants(mu=1, sigma=-1, p_g=0, k_squared=0, h=0, m=1).b1 == 0
-
-
 @pytest.mark.parametrize("record, change, message", [
     (FamilyParams(s=3, t=57, N=3), {"N": 2}, "N must be at least 3, got N=2"),
     (FamilyParams(s=3, t=57, N=3), {"t": 4}, "N-1 = 2 must divide s+t = 7"),
@@ -85,7 +81,7 @@ INT_ENTRIES = {
                               False),
     "solve_times_det": (lambda v: GRAPH.factors.solve_times_det(v), [1, 2], True),
     "FamilyParams": (lambda v: FamilyParams(*v), [3, 57, 3], False),
-    "surgery_characteristics": (lambda v: surgery_characteristics(v[0], v[1], GRAPH, INVARIANTS),
+    "surgery_characteristics": (lambda v: surgery_characteristics(v[0], v[1], INVARIANTS),
                                 [1, -100], False),
     "milnor_fiber_invariants": (lambda v: milnor_fiber_invariants(GRAPH, v[0]), [9865], False),
     "PlumbingGraph weights": (lambda v: PlumbingGraph([("A", v[0], v[1]), ("B", v[2], v[3])],
@@ -156,8 +152,8 @@ LIBRARY_OUTPUT = [
     "-4707",
     "MinimalDivisor(divisor=(30, 87), binding=(3, 57))",
     "-9864",
-    "SmoothingInvariants(mu=205347, sigma=-86437, p_g=29816, k_squared=-152093, "
-    "h=354, m=2, b1=0)",
+    "SmoothingInvariants(graph=PlumbingGraph(2 vertices, 1 edges), mu=205347, "
+    "sigma=-86437, p_g=29816, k_squared=-152093)",
 ]
 
 

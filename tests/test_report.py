@@ -44,14 +44,6 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-class Unprintable:
-    """A value neither renderer can write: JSON rejects its type, and the
-    text format's str() raises."""
-
-    def __str__(self):
-        raise TypeError("no text for this value")
-
-
 class TestPastTheDigitLimit:
     @pytest.mark.parametrize("value, digits", [
         (HUGE, HUGE_DIGITS),
@@ -70,8 +62,17 @@ class TestPastTheDigitLimit:
     def test_a_render_that_raises_leaves_the_limit_too(self, render):
         limit = digit_limit()
         with pytest.raises(TypeError):
-            render({"x": HUGE, "y": Unprintable()})
+            render({"x": HUGE, "y": object()})
         assert digit_limit() == limit
+
+
+@pytest.mark.parametrize("value, kind", [
+    (0.5, "float"), ({1}, "set"), (object(), "object"), ((1, 0.5), "float"),
+], ids=["float", "set", "object", "float in a tuple"])
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_both_renderers_reject_a_value_of_no_report_type(render, value, kind):
+    with pytest.raises(TypeError, match=f"^cannot serialize {kind} into a report$"):
+        render({"x": value})
 
 
 class TestRenderJson:
