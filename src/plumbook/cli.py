@@ -120,16 +120,8 @@ def _run_divisor(args) -> dict:
 
 
 def _describe_open_book(description: OpenBookDescription) -> dict:
-    curves = [
-        {
-            "u": curve.u,
-            "v": curve.v,
-            "class at u": curve.class_at_u,
-            "class at v": curve.class_at_v,
-            "components": curve.components,
-        }
-        for curve in description.edge_curves
-    ]
+    curves = [{"u": u, "v": v, "class at u": at_u, "class at v": at_v, "components": components}
+              for u, v, at_u, at_v, components in description.edge_curves]
     return {
         "binding": description.binding,
         "k": description.scale,
@@ -182,13 +174,14 @@ def _run_openbook(args) -> dict:
     report["divisor"] = book.multiplicities
     report.update(_describe_open_book(description))
     import hashlib   # the certificate is its only user, so other runs skip the import
+    counts = book.binding_counts
     report["certificate"] = {
         "graph sha256": hashlib.sha256(serialize_graph(graph).encode("utf-8")).hexdigest(),
         "divisor": book.multiplicities,
         "binding": book.binding,
         "k": book.scale,
-        "configuration binding counts": book.binding_counts,
-        "smoothing binding counts": book.binding_counts,
+        "configuration binding counts": counts,
+        "smoothing binding counts": counts,
         "verdict": True,   # minimal_open_book raised otherwise
     }
     return report

@@ -61,9 +61,9 @@ class MinimalDivisor(NamedTuple):
 
 def _intersection_with(graph: PlumbingGraph, vec: Sequence[int]) -> list[int]:
     """I.vec in plain integer arithmetic."""
-    adjacency = graph.adjacency
-    return [graph.vertices[i].euler * vec[i] + sum(vec[j] for j in adjacency[i])
-            for i in range(graph.m)]
+    at = vec.__getitem__
+    return [euler * x + sum(map(at, around))
+            for (_, euler, _), x, around in zip(graph.vertices, vec, graph.adjacency)]
 
 
 def openbook_condition(graph: PlumbingGraph, divisor: Iterable[int]) -> ConditionReport:

@@ -186,9 +186,16 @@ def parse_graph(text: str) -> PlumbingGraph:
             if directive == "vertex":
                 if len(fields) != 4:
                     raise ValidationError("expected 'vertex <id> e=<int> g=<uint>'")
-                vid = fields[1]
+                vid, e, g = fields[1:]
                 name(vid)
-                vertex(Vertex(vid, _keyed_int(fields[2], "e="), _keyed_int(fields[3], "g=")))
+                try:
+                    euler, genus = int(e[2:]), int(g[2:])
+                except ValueError:
+                    euler = None
+                if euler is None or e[:2] != "e=" or g[:2] != "g=":
+                    _keyed_int(e, "e=")   # raises, in the words of the field at fault
+                    _keyed_int(g, "g=")
+                vertex(Vertex(vid, euler, genus))
             elif directive == "edge":
                 if len(fields) != 3:
                     raise ValidationError("expected 'edge <id> <id>'")
@@ -236,7 +243,8 @@ def serialize_graph(graph: PlumbingGraph) -> str:
     """Canonical text form: declaration-order vertices, sorted edges."""
     lines = [f"vertex {v.id} e={v.euler} g={v.genus}" for v in graph.vertices]
     names = graph.ids
-    pairs = sorted(tuple(sorted((names[i], names[j]))) for i, j in graph.edges)
+    pairs = sorted((names[i], names[j]) if names[i] < names[j] else (names[j], names[i])
+                   for i, j in graph.edges)
     lines.extend(f"edge {u} {w}" for u, w in pairs)
     return "\n".join(lines) + "\n"
 

@@ -65,10 +65,8 @@ class OpenBookDescription(NamedTuple):
     @property
     def edge_curves(self) -> tuple[EdgeCurve, ...]:
         names, mult = self.graph.ids, self.multiplicities
-        return tuple(EdgeCurve(u=names[i], v=names[j],
-                               class_at_u=(mult[j], -mult[i]),
-                               class_at_v=(mult[i], -mult[j]),
-                               components=gcd(mult[i], mult[j]))
+        return tuple(EdgeCurve(names[i], names[j], (mult[j], -mult[i]), (mult[i], -mult[j]),
+                               gcd(mult[i], mult[j]))
                      for i, j in self.graph.edges)
 
     @property
@@ -76,14 +74,15 @@ class OpenBookDescription(NamedTuple):
         # chi of the page by counting it as an M_v-sheeted cover of each vertex
         # surface punctured at edges and bindings; annular edge/binding pieces
         # contribute nothing.  Derived here, not a quoted formula.
-        graph = self.graph
-        return sum(m * (2 - 2 * v.genus - deg - b)
-                   for v, m, deg, b in zip(graph.vertices, self.multiplicities,
-                                           graph.degrees, self.binding_counts))
+        graph, scale = self.graph, self.scale
+        return sum(m * (2 - 2 * v.genus - deg - scale * n)
+                   for v, m, deg, n in zip(graph.vertices, self.multiplicities,
+                                           graph.degrees, self.binding))
 
     @property
     def boundary_components(self) -> int:
-        return sum(self.binding_counts)
+        """sum(binding_counts)."""
+        return self.scale * sum(self.binding)
 
 
 def build_open_book(graph: PlumbingGraph,

@@ -7,10 +7,25 @@ Both are byte-deterministic for identical inputs.  Rationals render as
 render as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
-the JSON is byte for byte `json.dumps(indent=2)` of the same tree with
-Fractions as "p/q" strings and tuples as lists.  The walk lifts Python's
-cap on int-to-str digits (3.10.7 on) and restores it after, so ints of
-any size print.
+write int and str leaves in the comprehension that joins their
+container.  The JSON is byte for byte `json.dumps(indent=2)` of the same
+tree with Fractions as "p/q" strings and tuples as lists.  The walk
+lifts Python's cap on int-to-str digits (3.10.7 on) and restores it
+after, so ints of any size print.
+
+The text layout, one level being two spaces:
+
+- a scalar, or a sequence that holds no dict at any depth, is one
+  line, "key: value", the sequence inline as "(a, b, (c, d))";
+- a dict is a "key:" line with its items one level deeper;
+- a sequence that holds a dict at any depth is a "key:" line with one
+  "-" line per item one level deeper.  A scalar or an inline sequence
+  follows its "-" on the same line.  After a bare "-" come, one level
+  deeper, a dict's items or the "-" lines of a nested sequence that
+  holds a dict.
+
+A sequence is first written inline, and laid out as a block only when a
+dict turns up in it.
 """
 
 from __future__ import annotations
@@ -25,33 +40,41 @@ _json_str = None   # json.encoder's string quoting, imported by the first render
 def _rational_str(frac: Fraction) -> str:
     """Canonical "p/q" rendering, "p" when the denominator is 1."""
     if frac.denominator == 1:
-        return str(frac.numerator)
+        return f"{frac.numerator}"
     return f"{frac.numerator}/{frac.denominator}"
 
 
 def _json(value, pad: str) -> str:
     kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + _INDENT
+        items = [f"{item}" if (leaf := type(item)) is int
+                 else _json_str(item) if leaf is str else _json(item, inner)
+                 for item in value]
+        sep = ",\n" + inner
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + _INDENT
+        items = [f"{_json_str(str(key))}: "
+                 + (f"{item}" if (leaf := type(item)) is int
+                    else _json_str(item) if leaf is str else _json(item, inner))
+                 for key, item in value.items()]
+        sep = ",\n" + inner
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if kind is str:
         return _json_str(value)
     if kind is int:
-        return str(value)
+        return f"{value}"
     if kind is bool:
         return "true" if value else "false"
     if kind is Fraction:
         return f'"{_rational_str(value)}"'
     if value is None:
         return "null"
-    inner = pad + _INDENT
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [f"{_json_str(str(key))}: {_json(item, inner)}" for key, item in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [_json(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
@@ -74,45 +97,65 @@ def render_json(data: dict) -> str:
     return _uncapped(_json, data, "") + "\n"
 
 
-def _scalar_str(value) -> str:
+class _DictInside(Exception):
+    """A sequence holds a dict, so it has no inline form."""
+
+
+def _inline(value) -> str:
+    """The one-line form of a scalar or of a sequence that holds no dict."""
     kind = type(value)
+    if kind is list or kind is tuple:
+        return "(" + ", ".join([f"{item}" if (leaf := type(item)) is int or leaf is str
+                                else _inline(item) for item in value]) + ")"
     if kind is str:
         return value
     if kind is int:
-        return str(value)
+        return f"{value}"
     if kind is bool:
         return "yes" if value else "no"
     if kind is Fraction:
         return _rational_str(value)
     if value is None:
         return "None"
-    if kind is list or kind is tuple:
-        return "(" + ", ".join(map(_scalar_str, value)) + ")"
+    if kind is dict:
+        raise _DictInside
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
-def _render_block(data: dict, depth: int, lines: list) -> None:
-    pad = _INDENT * depth
+def _render_block(data: dict, pad: str, lines: list) -> None:
+    inner = pad + _INDENT
     for key, value in data.items():
         kind = type(value)
-        if kind is dict:
+        if kind is int or kind is str:
+            lines.append(f"{pad}{key}: {value}")
+        elif kind is dict:
             lines.append(f"{pad}{key}:")
-            _render_block(value, depth + 1, lines)
-        elif (kind is list or kind is tuple) and any(type(item) is dict for item in value):
-            # a sequence holding a dict renders as an indented list of items
-            lines.append(f"{pad}{key}:")
-            for item in value:
-                if type(item) is dict:
-                    lines.append(f"{pad}{_INDENT}-")
-                    _render_block(item, depth + 2, lines)
-                else:
-                    lines.append(f"{pad}{_INDENT}- {_scalar_str(item)}")
+            _render_block(value, inner, lines)
         else:
-            lines.append(f"{pad}{key}: {_scalar_str(value)}")
+            try:
+                lines.append(f"{pad}{key}: {_inline(value)}")
+            except _DictInside:
+                lines.append(f"{pad}{key}:")
+                _render_items(value, inner, lines)
+
+
+def _render_items(items, pad: str, lines: list) -> None:
+    """The "-" lines of a sequence that holds a dict."""
+    inner = pad + _INDENT
+    for item in items:
+        if type(item) is dict:
+            lines.append(f"{pad}-")
+            _render_block(item, inner, lines)
+        else:
+            try:
+                lines.append(f"{pad}- {_inline(item)}")
+            except _DictInside:
+                lines.append(f"{pad}-")
+                _render_items(item, inner, lines)
 
 
 def render_text(data: dict) -> str:
     """Indented "key: value" listing with a trailing newline."""
     lines: list = []
-    _uncapped(_render_block, data, 0, lines)
+    _uncapped(_render_block, data, "", lines)
     return "\n".join(lines) + "\n"

@@ -184,3 +184,67 @@ class TestRenderText:
     def test_nested_sequences_stay_inline(self):
         text = render_text({"t": ((1, 2), [3])})
         assert text == "t: ((1, 2), (3))\n"
+
+    def test_dict_two_sequences_deep(self):
+        text = render_text({"x": [[{"a": 1}]]})
+        assert text == "x:\n  -\n    -\n      a: 1\n"
+
+    def test_dict_in_a_nested_sequence_after_a_scalar(self):
+        text = render_text({"x": [1, [{"a": 1}]]})
+        assert text == "x:\n  - 1\n  -\n    -\n      a: 1\n"
+
+    def test_only_a_sequence_that_holds_a_dict_becomes_a_block(self):
+        text = render_text({"x": ((1, (True,)), ((2,), {"a": (3, 4)}), [5])})
+        assert text == ("x:\n  - (1, (yes))\n  -\n    - (2)\n    -\n      a: (3, 4)\n"
+                        "  - (5)\n")
+
+
+def reference_text(report: dict) -> str:
+    """The text layout of `report`'s docstring, built without any of
+    `report`'s code: "key: value" lines, two spaces a level, a dict or a
+    sequence holding a dict at any depth laid out as a block."""
+    lines = []
+
+    def holds_dict(value) -> bool:
+        return isinstance(value, dict) or (
+            isinstance(value, (list, tuple)) and any(holds_dict(item) for item in value))
+
+    def inline(value) -> str:
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, (list, tuple)):
+            return "(" + ", ".join(inline(item) for item in value) + ")"
+        if isinstance(value, Fraction):
+            p, q = value.numerator, value.denominator
+            return str(p) if q == 1 else str(p) + "/" + str(q)
+        return str(value)   # an int, a str or None
+
+    def block(data: dict, depth: int) -> None:
+        for key, value in data.items():
+            if holds_dict(value):
+                lines.append("  " * depth + str(key) + ":")
+                (block if isinstance(value, dict) else items)(value, depth + 1)
+            else:
+                lines.append("  " * depth + str(key) + ": " + inline(value))
+
+    def items(sequence, depth: int) -> None:
+        for item in sequence:
+            if holds_dict(item):
+                lines.append("  " * depth + "-")
+                (block if isinstance(item, dict) else items)(item, depth + 1)
+            else:
+                lines.append("  " * depth + "- " + inline(item))
+
+    block(report, 0)
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderTextOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(REPORTS)
+    @example({})
+    @example({"x": [[{"a": 1}]], "y": [1, [{"a": 1}]], "z": ((True, (False, None)), [])})
+    @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": {}}})
+    @example({"t": ((LONG, -LONG), [True, (Fraction(1, 3), "s")]), "d": [[[{"k": [{}]}]]]})
+    def test_matches_the_documented_layout(self, data):
+        assert render_text(data) == reference_text(data)
