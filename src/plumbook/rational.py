@@ -26,17 +26,16 @@ from .errors import _int_vector
 class Elimination:
     """Fraction-free factors of a negative definite integer symmetric matrix.
 
-    `order[k]` is the row of m eliminated at step k, `minors` holds the
-    leading minors D_0 = 1, D_1, ..., D_m of m taken in that order, and
-    `det` is D_m.
+    `det` is det m, `order[k]` the row of m eliminated at step k, and the
+    two solves take integral right-hand sides in m's own order.
     """
 
-    __slots__ = ("det", "minors", "order", "_columns")
+    __slots__ = ("det", "order", "_minors", "_columns")
 
     def __init__(self, minors: list[int], order: list[int], columns: list[tuple]):
         self.det = minors[-1]
-        self.minors = tuple(minors)
         self.order = tuple(order)
+        self._minors = tuple(minors)     # D_0 = 1, D_1, ..., D_m in that order
         self._columns = tuple(columns)   # (row, b) left in row order[k] at step k
 
     @property
@@ -45,16 +44,25 @@ class Elimination:
         return sum(len(column) for column in self._columns)
 
     def solve_times_det(self, b: Iterable[int]) -> tuple[int, ...]:
-        """y = det(m) m^{-1} b for integral b, in integers.
+        """y = det(m) m^{-1} b for integral b, in integers."""
+        return self._solve(b, self.det)
 
-        b, as one more column, takes the matrix's steps, so c_v is its
+    def solve_rounded_up(self, b: Iterable[int]) -> tuple[int, ...]:
+        """For integral b and m with no negative entry off the diagonal, as
+        on a plumbing graph: an integral d with ceil(m^{-1} b) <= d <= d'
+        for every integral d' with m d' <= b (see `plumbook.divisor`)."""
+        return self._solve(b, 1)
+
+    def _solve(self, b: Iterable[int], scale: int) -> tuple[int, ...]:
+        """b, as one more column, takes the matrix's steps, so c_v is its
         entry at the step that eliminates v.  Row v at step k reads
-        D_{k+1} x_v + sum(b_vi x_i) = c_v, so with y = D_m x,
-        y_v = (D_m c_v - sum(b_vi y_i)) // D_{k+1}.
+        D_{k+1} x_v + sum(b_vi x_i) = c_v, so the back pass sets
+        y_v = ceil((scale c_v - sum(b_vi y_i)) / D_{k+1}), last row first.
+        With scale = D_m each division is exact and y = D_m x.
         """
-        det, n = self.det, len(self.order)
+        n = len(self.order)
         c = list(_int_vector(b, n, "right-hand side"))
-        minors, order, columns = self.minors, self.order, self._columns
+        minors, order, columns = self._minors, self.order, self._columns
         updated = [0] * n    # the step at which c_v was last updated
         for k, (v, column) in enumerate(zip(order, columns)):
             d_k = minors[k]
@@ -71,10 +79,10 @@ class Elimination:
                     updated[i] = k + 1
         for k in reversed(range(n)):    # c_i is y_i for every i eliminated after step k
             v = order[k]
-            y_v = det * c[v]
+            excess = -scale * c[v]
             for i, b_vi in columns[k]:
-                y_v -= b_vi * c[i]
-            c[v] = y_v // minors[k + 1]
+                excess += b_vi * c[i]
+            c[v] = -(excess // minors[k + 1])
         return tuple(c)
 
 

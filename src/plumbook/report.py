@@ -1,10 +1,11 @@
 """Deterministic rendering of report dictionaries.
 
-Reports are plain dicts built by the CLI in a fixed key order.  Two
-output formats: JSON (machine) and an indented key/value text (human).
-Both are byte-deterministic for identical inputs.  Rationals render as
-"p/q" with positive denominator, collapsed to "p" when integral; bools
-render as yes/no in the text format.
+Reports are plain dicts built by the CLI in a fixed key order, with str
+keys; `render_json` raises TypeError on any other key.  Two output
+formats: JSON (machine) and an indented key/value text (human).  Both
+are byte-deterministic for identical inputs.  Rationals render as "p/q"
+with positive denominator, collapsed to "p" when integral; bools render
+as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
 write int and str leaves in the comprehension that joins their
@@ -59,7 +60,7 @@ def _json(value, pad: str) -> str:
         if not value:
             return "{}"
         inner = pad + _INDENT
-        items = [f"{_json_str(str(key))}: "
+        items = [f"{_json_str(key)}: "
                  + (f"{item}" if (leaf := type(item)) is int
                     else _json_str(item) if leaf is str else _json(item, inner))
                  for key, item in value.items()]

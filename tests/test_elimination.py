@@ -1,9 +1,9 @@
 """Property tests of the symmetric elimination against oracles that share
 no code with it: continued-fraction numerators for Hirzebruch-Jung chains,
 the orbifold Euler number for three-legged stars, Leibniz and dense
-Bareiss determinants of the leading minors, in declaration order and in
-the elimination's own order, integer row sums over the edge list, the
-count of the factors' entries on trees, and a minimum-degree simulation
+Bareiss determinants of the leading minors in declaration order, integer
+row sums over the edge list, also for the rounded solve, the count of
+the factors' entries on trees, and a minimum-degree simulation
 on sets for the pivot order and the fill-in.  Graphs are factored in an
 order of the program's choosing, so the graphs here are declared in
 random orders.
@@ -355,17 +355,22 @@ def test_solve_times_det_satisfies_integer_row_sums(case, b):
     y = graph.factors.solve_times_det(b)
     assert all(isinstance(x, int) for x in y)
     assert intersection_rows(graph, y) == [graph.factors.det * x for x in b]
+    # the rounded solve of I.b lies between ceil(I^{-1} I.b) = b and b,
+    # which satisfies I.b <= I.b
+    assert graph.factors.solve_rounded_up(intersection_rows(graph, b)) == tuple(b)
 
 
 @PROPERTY
 @given(GRAPHS)
 @example(star_declared_centre_first(12))
-def test_minors_are_the_leading_minors_of_the_matrix_in_elimination_order(case):
+def test_det_and_verdict_match_bareiss_leading_minors_in_declaration_order(case):
+    # a graph is built only when every leading minor of its matrix, in the
+    # file's order, has the sign (-1)^k, and its det is the last of them
     graph = definite_graph(case)
-    rows, order = case[2], graph.factors.order
-    permuted = [[rows[i][j] for j in order] for i in order]
-    assert graph.factors.minors == tuple(bareiss_determinant([r[:k] for r in permuted[:k]])
-                                         for k in range(graph.m + 1))
+    rows = case[2]
+    minors = [bareiss_determinant([r[:k] for r in rows[:k]]) for k in range(1, graph.m + 1)]
+    assert all((-1) ** k * d > 0 for k, d in enumerate(minors, start=1))
+    assert graph.factors.det == minors[-1]
 
 
 def test_an_invalid_tree_is_rejected_in_logarithmically_many_factorizations(counted):
@@ -434,7 +439,7 @@ def test_each_graph_subcommand_factors_its_graph_once(argv, json, counted, tmp_p
 
 
 # the minimal divisor's open book has the divisor as its multiplicities, so
-# only the divisor's lower bound is solved; --k 2 solves for the scaled book
+# only the divisor's start is solved; --k 2 solves for the scaled book
 # and --n for the given binding
 @pytest.mark.parametrize("argv, solves", [
     (["openbook"], 1), (["openbook", "--k", "2"], 2),
@@ -443,13 +448,15 @@ def test_each_graph_subcommand_factors_its_graph_once(argv, json, counted, tmp_p
 @pytest.mark.parametrize("json", [False, True])
 def test_openbook_solves_per_command(argv, solves, json, monkeypatch, tmp_path):
     calls = []
-    solve_times_det = Elimination.solve_times_det
 
-    def counting(self, b):
-        calls.append(len(b))
-        return solve_times_det(self, b)
+    def counting(solve):
+        def counted(self, b):
+            calls.append(len(b))
+            return solve(self, b)
+        return counted
 
-    monkeypatch.setattr(Elimination, "solve_times_det", counting)
+    for name in ("solve_times_det", "solve_rounded_up"):
+        monkeypatch.setattr(Elimination, name, counting(getattr(Elimination, name)))
     path = tmp_path / "star.pg"
     path.write_text(STAR, encoding="utf-8")
     argv = [argv[0], "-i", str(path), *argv[1:]] + (["--json"] if json else [])

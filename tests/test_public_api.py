@@ -80,6 +80,7 @@ INT_ENTRIES = {
     "build_open_book scale": (lambda v: build_open_book(GRAPH, (3, 57), scale=v[0]), [2],
                               False),
     "solve_times_det": (lambda v: GRAPH.factors.solve_times_det(v), [1, 2], True),
+    "solve_rounded_up": (lambda v: GRAPH.factors.solve_rounded_up(v), [1, 2], True),
     "FamilyParams": (lambda v: FamilyParams(*v), [3, 57, 3], False),
     "surgery_characteristics": (lambda v: surgery_characteristics(v[0], v[1], INVARIANTS),
                                 [1, -100], False),
@@ -112,10 +113,11 @@ def test_each_int_entry_accepts_ints(name):
     lambda g: build_open_book(g, None),
     lambda g: openbook_condition(g, 5),
     lambda g: g.factors.solve_times_det(None),
+    lambda g: g.factors.solve_rounded_up(None),
     lambda g: PlumbingGraph(None),
     lambda g: PlumbingGraph([("a", -2, 0)], None),
-], ids=["build_open_book", "openbook_condition", "solve_times_det", "PlumbingGraph vertices",
-        "PlumbingGraph edges"])
+], ids=["build_open_book", "openbook_condition", "solve_times_det", "solve_rounded_up",
+        "PlumbingGraph vertices", "PlumbingGraph edges"])
 def test_a_non_iterable_is_a_validation_error(call):
     graph = parse_graph((GOLDEN / "family_n3.pg").read_text(encoding="utf-8"))
     with pytest.raises(ValidationError, match="must be iterable, got (NoneType|int)$"):

@@ -52,14 +52,6 @@ def eliminate(rows):
                                 for i, row in enumerate(rows)])
 
 
-def leading_minors_in_order(rows, order):
-    """Leibniz determinants of the leading blocks of the matrix with its
-    rows and columns taken in `order`."""
-    permuted = [[rows[i][j] for j in order] for i in order]
-    return tuple(leibniz_determinant([r[:k] for r in permuted[:k]])
-                 for k in range(len(rows) + 1))
-
-
 def product(rows, x):
     """Dense rows . x, written out here so it shares no code with the solve."""
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
@@ -79,18 +71,20 @@ class TestDeterminant:
         rng = random.Random(SEED)
         for _ in range(120):
             rows = random_negative_definite(rng, rng.randint(1, 4))
-            factors = eliminate(rows)
-            assert factors.det == leibniz_determinant(rows)
-            assert factors.minors == leading_minors_in_order(rows, factors.order)
+            assert eliminate(rows).det == leibniz_determinant(rows)
 
     def test_exact_on_large_entries(self):
         # minors far past 64 bits: every division must still be exact
         big = 10 ** 30
         m = [[-3 * big, big + 7, 5], [big + 7, -2 * big, big - 1], [5, big - 1, -4 * big]]
         factors = eliminate(m)
-        assert factors.minors == leading_minors_in_order(m, factors.order)
+        assert factors.det == leibniz_determinant(m)
         y = factors.solve_times_det((1, -2, 3))
         assert product(m, y) == [factors.det * b for b in (1, -2, 3)]
+        # no entry off the diagonal is negative, and m z <= m z: the
+        # rounded solve of an integral solution's right-hand side is it
+        z = (7, -big, 3 * big + 1)
+        assert factors.solve_rounded_up(product(m, z)) == z
 
 
 class TestSolveAndInverse:

@@ -96,6 +96,15 @@ class TestRenderJson:
             with pytest.raises(TypeError):
                 render_json({"x": value})
 
+    @pytest.mark.parametrize("key", [True, None, 1], ids=["bool", "None", "int"])
+    def test_rejects_a_key_that_is_no_str(self, key):
+        # json.dumps would write true, null and 1 where str() gives True,
+        # None and 1, so no key but a str can be written byte for byte
+        with pytest.raises(TypeError):
+            render_json({key: 1})
+        with pytest.raises(TypeError):
+            render_json({"x": [{key: 1}]})
+
 
 def reference_json(value):
     """The report as the standard library's encoder takes it, built without
