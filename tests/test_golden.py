@@ -5,7 +5,8 @@ with the expected standard output of `check`, `canonical`, `divisor`,
 `openbook` and `openbook --n`, each as text and as `--json`.  The graphs
 are the fixed corpus of `conftest.py` plus a 24-vertex Hirzebruch-Jung
 chain and a three-legged star, both with determinants of more than 40
-digits, and the family and surgery reports on top.  A change to the
+digits, the Wahl chain (-2, -5, -3) with |det| = 25 = 5^2, and the
+family and surgery reports on top.  A change to the
 arithmetic underneath must leave every one of these bytes alone.
 
 The expected files were written once by this module's generator and are
@@ -56,10 +57,17 @@ def _star() -> PlumbingGraph:
     return PlumbingGraph(vertices, edges)
 
 
+def _wahl() -> PlumbingGraph:
+    """The Wahl chain (-2, -5, -3): its Milnor fiber is a rational ball."""
+    vertices = [(f"w{i}", e, 0) for i, e in enumerate((-2, -5, -3))]
+    return PlumbingGraph(vertices, [("w0", "w1"), ("w1", "w2")])
+
+
 def _graphs() -> dict[str, PlumbingGraph]:
     graphs = dict(_fixed_graphs())
     graphs["hj_chain24"] = _chain()
     graphs["star24"] = _star()
+    graphs["wahl_253"] = _wahl()
     return graphs
 
 
@@ -100,6 +108,10 @@ def _cases() -> dict[str, list[str]]:
                                         "-i", family, "--mu", "13"]
     cases["other/surgery-graph.json"] = ["surgery", "--chi", "100", "--sigma", "-20",
                                          "-i", family, "--mu", "13", "--json"]
+    wahl = ["surgery", "-i", str(GOLDEN / "wahl_253.pg"), "--mu", "0",
+            "--chi", "24", "--sigma", "-16"]
+    cases["other/surgery-wahl.txt"] = wahl
+    cases["other/surgery-wahl.json"] = wahl + ["--json"]
     return cases
 
 
