@@ -9,8 +9,6 @@ holds only rational results such as the canonical cycle, no floats.
 """
 
 from .canonical import CanonicalCycle, canonical_cycle
-from .divisor import (ConditionReport, MinimalDivisor, minimal_openbook_divisor,
-                      openbook_condition)
 from .errors import ConsistencyError, ParseError, PlumbookError, ValidationError
 from .family import (ClosedFormValues, FamilyParams, SmoothingInvariants,
                      closed_form_check, default_t, family_resolution_graph,
@@ -27,12 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalCycle",
     "ClosedFormValues",
-    "ConditionReport",
     "ConsistencyError",
     "EdgeCurve",
     "Elimination",
     "FamilyParams",
-    "MinimalDivisor",
     "OpenBookDescription",
     "ParseError",
     "PlumbingGraph",
@@ -49,8 +45,6 @@ __all__ = [
     "family_resolution_graph",
     "milnor_fiber_invariants",
     "minimal_open_book",
-    "minimal_openbook_divisor",
-    "openbook_condition",
     "parse_graph",
     "plane_curve_mu",
     "render_json",

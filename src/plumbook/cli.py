@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .canonical import canonical_cycle
-from .divisor import minimal_openbook_divisor, openbook_condition
 from .errors import ConsistencyError, ParseError, ValidationError
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
@@ -108,14 +107,17 @@ def _run_canonical(args) -> dict:
 
 def _run_divisor(args) -> dict:
     graph = _read_graph(args.input)
-    found = minimal_openbook_divisor(graph)
-    condition = openbook_condition(graph, found.divisor)
+    book = minimal_open_book(graph)
+    # the slack (I.d)_i + deg_i + 2g_i of condition (a), with I.d = -n
+    # checked when the book was assembled
+    slacks = tuple(deg + 2 * v.genus - n
+                   for v, deg, n in zip(graph.vertices, graph.degrees, book.binding))
     return {
         "vertices": graph.ids,
-        "divisor": found.divisor,
-        "binding": found.binding,
-        "slacks": condition.slacks,
-        "condition holds": condition.holds,
+        "divisor": book.multiplicities,
+        "binding": book.binding,
+        "slacks": slacks,
+        "condition holds": all(s <= 0 for s in slacks),
     }
 
 

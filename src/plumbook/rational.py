@@ -50,7 +50,7 @@ class Elimination:
     def solve_rounded_up(self, b: Iterable[int]) -> tuple[int, ...]:
         """For integral b and m with no negative entry off the diagonal, as
         on a plumbing graph: an integral d with ceil(m^{-1} b) <= d <= d'
-        for every integral d' with m d' <= b (see `plumbook.divisor`)."""
+        for every integral d' with m d' <= b (see `plumbook.openbook`)."""
         return self._solve(b, 1)
 
     def _solve(self, b: Iterable[int], scale: int) -> tuple[int, ...]:

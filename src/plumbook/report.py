@@ -1,7 +1,7 @@
 """Deterministic rendering of report dictionaries.
 
 Reports are plain dicts built by the CLI in a fixed key order, with str
-keys; `render_json` raises TypeError on any other key.  Two output
+keys; both renderers raise TypeError on any other key.  Two output
 formats: JSON (machine) and an indented key/value text (human).  Both
 are byte-deterministic for identical inputs.  Rationals render as "p/q"
 with positive denominator, collapsed to "p" when integral; bools render
@@ -126,6 +126,8 @@ def _inline(value) -> str:
 def _render_block(data: dict, pad: str, lines: list) -> None:
     inner = pad + _INDENT
     for key, value in data.items():
+        if type(key) is not str:
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
         kind = type(value)
         if kind is int or kind is str:
             lines.append(f"{pad}{key}: {value}")

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
                       family_resolution_graph, milnor_fiber_invariants,
-                      minimal_open_book, minimal_openbook_divisor,
-                      plane_curve_mu, surface_mu, verify_gluing)
+                      minimal_open_book, plane_curve_mu, surface_mu, verify_gluing)
 
 from .conftest import (BRUTE_FORCE_NAMES, brute_force_minimum, is_feasible,
                        intersection_rows, s3_params)
@@ -91,10 +90,10 @@ def test_criterion_4_minimal_divisor_oracle(capsys, fixed_corpus):
                            "minimum on every m <= 3 corpus graph"):
         for name in BRUTE_FORCE_NAMES:
             graph = fixed_corpus[name]
-            found = minimal_openbook_divisor(graph)
-            assert found.divisor == brute_force_minimum(graph, 200), name
-        family = minimal_openbook_divisor(fixed_corpus["family_n3"])
-        assert family.divisor == (30, 87)
+            book = minimal_open_book(graph)
+            assert book.multiplicities == brute_force_minimum(graph, 200), name
+        family = minimal_open_book(fixed_corpus["family_n3"])
+        assert family.multiplicities == (30, 87)
         assert family.binding == (3, 57)
 
 
@@ -105,10 +104,10 @@ def test_criterion_5_scaling_stays_feasible(capsys, fixed_corpus,
         graphs = list(fixed_corpus.values())
         graphs.extend(graph for graph, _, _ in random_corpus)
         for graph in graphs:
-            found = minimal_openbook_divisor(graph)
+            book = minimal_open_book(graph)
             for k in (2, 3, 5):
-                scaled = build_open_book(graph, found.binding, scale=k).multiplicities
-                assert scaled == tuple(k * d for d in found.divisor)
+                scaled = build_open_book(graph, book.binding, scale=k).multiplicities
+                assert scaled == tuple(k * d for d in book.multiplicities)
                 assert is_feasible(graph, scaled)
 
 
@@ -169,7 +168,6 @@ def test_criterion_8_equivalence_certificates(capsys, fixed_corpus,
             binding = [-r for r in intersection_rows(graph, book.multiplicities)]
             assert tuple(binding) == book.binding
             assert min(binding) >= 1
-            assert book.multiplicities == minimal_openbook_divisor(graph).divisor
             assert book.scale == 1
             assert intersection_rows(graph, book.multiplicities) == [
                 -b for b in book.binding_counts]

@@ -715,6 +715,100 @@ def test_one_mutated_line_is_one_error_line(mutation, draws, subcommand):
     assert re.fullmatch(rf"error: line {line}: ({MUTATIONS[mutation]}).*\n", err), err
 
 
+WAHL = str(GOLDEN / "wahl_253.pg")
+
+# valid command lines, each as its subcommand and its (flag, value) items;
+# a value that --n, --sweep or an int flag reads is marked by its flag
+VALID_ARGV = [
+    ("check", [("-i", A1)]),
+    ("canonical", [("-i", A1), ("--json", None)]),
+    ("divisor", [("-i", A1)]),
+    ("openbook", [("-i", A1), ("--n", "a=2"), ("--json", None)]),
+    ("openbook", [("-i", A1), ("--k", "2")]),
+    ("family", [("--N", "5")]),
+    ("family", [("--s", "3"), ("--t", "117"), ("--N", "5"), ("--json", None)]),
+    ("family", [("--sweep", "3..6")]),
+    ("surgery", [("--chi", "1"), ("--sigma", "-100"), ("--N", "3")]),
+    ("surgery", [("-i", WAHL), ("--mu", "0"), ("--chi", "24"), ("--sigma", "-16")]),
+]
+INT_VALUED = {"--n", "--sweep", "--N", "--s", "--t", "--k", "--mu", "--chi", "--sigma"}
+
+
+def _with_int(flag: str, text: str, first: bool) -> str:
+    """A value for flag whose int, or first or last int for --sweep, is text."""
+    if flag == "--n":
+        return "a=" + text
+    if flag == "--sweep":
+        return f"{text}..6" if first else f"3..{text}"
+    return text
+
+
+@st.composite
+def mutated_argv(draw):
+    """(argv, whether exit 0 is allowed): a valid command line with one
+    near-valid mutation.  Dropping, duplicating or swapping flags may leave
+    a valid command line; every other mutation makes it wrong."""
+    subcommand, items = draw(st.sampled_from(VALID_ARGV))
+    items = [[flag] if value is None else [flag, value] for flag, value in items]
+    kinds = ["drop", "duplicate", "swap"]
+    if any(item[0] in INT_VALUED for item in items):
+        kinds.append("value")
+    if subcommand == "openbook" and items[1][0] == "--n":
+        kinds.append("unknown vertex")
+    if any(item[0] == "--mu" for item in items):
+        kinds.append("wrong mu")
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(items) - 1))
+    item = items[at]
+    if kind == "drop":
+        if len(item) == 1 or draw(st.booleans()):
+            del items[at]
+        else:
+            del item[draw(st.integers(0, 1))]
+    elif kind == "duplicate":
+        copy = list(item) if draw(st.booleans()) else item[:1]
+        items.insert(draw(st.integers(0, len(items))), copy)
+    elif kind == "swap":
+        if len(item) == 2 and draw(st.booleans()):
+            item.reverse()
+        else:
+            other = draw(st.integers(0, len(items) - 1))
+            items[at], items[other] = items[other], items[at]
+    elif kind == "value":
+        target = draw(st.sampled_from([item for item in items if item[0] in INT_VALUED]))
+        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "5a"]
+                                    + [NINES] * bool(DIGIT_LIMIT)))
+        target[1] = _with_int(target[0], text, draw(st.booleans()))
+    elif kind == "unknown vertex":
+        items[1][1] = draw(st.sampled_from(["zz=2", "a=2,zz=1", "A=2"]))
+    else:
+        # mu fits the chain only when p_g = mu/12 is an integer >= 0
+        mu = draw(st.integers(-100, 10 ** 6).filter(lambda mu: mu < 0 or mu % 12))
+        next(item for item in items if item[0] == "--mu")[1] = str(mu)
+    argv = [subcommand] + [token for item in items for token in item]
+    return argv, kind in ("drop", "duplicate", "swap")
+
+
+# no near-valid argv reaches a traceback or the internal-consistency exit
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_argv())
+def test_a_mutated_argv_is_one_error_line_or_the_usage(case):
+    argv, may_succeed = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert may_succeed and out and err == "", argv
+    elif code == 1:
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code == 64, (argv, code, err)
+        assert out == "", argv
+        assert err.startswith("usage: plumbook") and ": error: " in err, err
+
+
 # argv that end in argparse: usage errors (exit 64) and help (exit 0)
 PARSER_EXITS = [
     ["frobnicate"],

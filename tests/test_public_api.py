@@ -1,4 +1,5 @@
-"""The public record types keep their contract, and README's example runs.
+"""The public surface is the one listed, its record types keep their
+contract, and README's example runs.
 
 Each record is an immutable tuple: keyword construction, no assignment,
 and a repr that reads `Name(field=value, ...)`.  `FamilyParams` also
@@ -15,13 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbook import (CanonicalCycle, ConditionReport, EdgeCurve, FamilyParams,
-                      OpenBookDescription, PlumbingGraph, SmoothingInvariants,
-                      SurgeryReport, ValidationError, Vertex, build_open_book,
-                      milnor_fiber_invariants, openbook_condition, parse_graph,
+import plumbook
+from plumbook import (CanonicalCycle, EdgeCurve, FamilyParams, OpenBookDescription,
+                      PlumbingGraph, SmoothingInvariants, SurgeryReport, ValidationError,
+                      Vertex, build_open_book, milnor_fiber_invariants, parse_graph,
                       surgery_characteristics)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# every public name; a removal or an addition is a change to this list
+PUBLIC = [
+    "CanonicalCycle", "ClosedFormValues", "ConsistencyError", "EdgeCurve", "Elimination",
+    "FamilyParams", "OpenBookDescription", "ParseError", "PlumbingGraph", "PlumbookError",
+    "SmoothingInvariants", "SurgeryReport", "ValidationError", "Vertex", "__version__",
+    "build_open_book", "canonical_cycle", "closed_form_check", "default_t",
+    "family_resolution_graph", "milnor_fiber_invariants", "minimal_open_book",
+    "parse_graph", "plane_curve_mu", "render_json", "render_text", "serialize_graph",
+    "surface_mu", "surgery_characteristics", "verify_gluing",
+]
 GRAPH = PlumbingGraph([("A", -3, 1), ("B", -1, 28)], [("A", "B")])
 INVARIANTS = milnor_fiber_invariants(GRAPH, 9865)
 
@@ -33,13 +45,18 @@ RECORDS = [
                            "multiplicities": (30, 87)}),
     (CanonicalCycle, {"coefficients": (Fraction(-1, 3), Fraction(2)),
                       "k_squared": Fraction(-4707), "adjunction_rhs": (1, 55)}),
-    (ConditionReport, {"holds": True, "slacks": (-1, 0)}),
     (SmoothingInvariants, {"graph": GRAPH, "mu": 9865, "sigma": -5047, "p_g": 1219,
                            "k_squared": -4707}),
     (SurgeryReport, {"chi": 100, "sigma": -20, "c1_squared": 140,
                      "chi_h": Fraction(20), "bmy_defect": Fraction(40)}),
     (FamilyParams, {"s": 3, "t": 57, "N": 3}),
 ]
+
+
+def test_all_is_the_public_surface():
+    assert len(PUBLIC) == 30
+    assert plumbook.__all__ == PUBLIC
+    assert all(hasattr(plumbook, name) for name in PUBLIC)
 
 
 @pytest.mark.parametrize("kind, fields", RECORDS, ids=lambda x: getattr(x, "__name__", ""))
@@ -75,7 +92,6 @@ def test_replace_checks_the_new_values(record, change, message):
 # every library entry that takes ints, as (call on a list of arguments,
 # arguments it accepts, whether that list is one vector of any length)
 INT_ENTRIES = {
-    "openbook_condition": (lambda v: openbook_condition(GRAPH, v), [30, 87], True),
     "build_open_book binding": (lambda v: build_open_book(GRAPH, v), [3, 57], True),
     "build_open_book scale": (lambda v: build_open_book(GRAPH, (3, 57), scale=v[0]), [2],
                               False),
@@ -111,12 +127,11 @@ def test_each_int_entry_accepts_ints(name):
 
 @pytest.mark.parametrize("call", [
     lambda g: build_open_book(g, None),
-    lambda g: openbook_condition(g, 5),
     lambda g: g.factors.solve_times_det(None),
     lambda g: g.factors.solve_rounded_up(None),
     lambda g: PlumbingGraph(None),
     lambda g: PlumbingGraph([("a", -2, 0)], None),
-], ids=["build_open_book", "openbook_condition", "solve_times_det", "solve_rounded_up",
+], ids=["build_open_book", "solve_times_det", "solve_rounded_up",
         "PlumbingGraph vertices", "PlumbingGraph edges"])
 def test_a_non_iterable_is_a_validation_error(call):
     graph = parse_graph((GOLDEN / "family_n3.pg").read_text(encoding="utf-8"))
@@ -152,7 +167,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # what README's Library example prints, line for line
 LIBRARY_OUTPUT = [
     "-4707",
-    "MinimalDivisor(divisor=(30, 87), binding=(3, 57))",
+    "(30, 87) (3, 57)",
     "-9864",
     "SmoothingInvariants(graph=PlumbingGraph(2 vertices, 1 edges), mu=205347, "
     "sigma=-86437, p_g=29816, k_squared=-152093)",

@@ -75,6 +75,17 @@ def test_both_renderers_reject_a_value_of_no_report_type(render, value, kind):
         render({"x": value})
 
 
+@pytest.mark.parametrize("data", [
+    {True: 1}, {None: 1}, {1: 1}, {"a": {1: 2}}, {"x": [{"k": 1}, {2: 3}]},
+], ids=["bool", "None", "int", "nested dict", "dict in a list"])
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_both_renderers_reject_a_key_that_is_no_str(render, data):
+    # str() would write True where json.dumps writes true, so the two
+    # formats could only disagree on such a key
+    with pytest.raises(TypeError):
+        render(data)
+
+
 class TestRenderJson:
     def test_structure(self):
         data = {"a": 1, "b": Fraction(1, 2), "c": [True, "x"], "d": {"e": None}}
