@@ -236,9 +236,8 @@ def test_openbook_checks_each_assembled_description_once(args, books, json, glui
     assert main([command, "-i", str(path), *options] + (["--json"] if json else [])) == 0
     assert gluing_checks == books
     out = capsys.readouterr().out
-    shown = {"openbook": ('"gluing verified": true', "gluing verified: yes\n"),
-             "divisor": ('"condition holds": true', "condition holds: yes\n")}[command]
-    assert shown[0 if json else 1] in out
+    shown = {"openbook": "gluing verified", "divisor": "condition holds"}[command]
+    assert (f'"{shown}": true' if json else f"{shown}: yes\n") in out
 
 
 @pytest.fixture
