@@ -25,11 +25,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .canonical import canonical_cycle
-from .errors import ConsistencyError, ParseError, ValidationError
+from .errors import ConsistencyError, ParseError, ValidationError, _read_int, _shown
 from .family import (FamilyParams, closed_form_check, default_t,
                      family_resolution_graph, milnor_fiber_invariants,
                      plane_curve_mu, surface_mu)
-from .graph import _LINE_END_RE, PlumbingGraph, _read_int, parse_graph, serialize_graph
+from .graph import _LINE_END_RE, PlumbingGraph, parse_graph, serialize_graph
 from .openbook import OpenBookDescription, build_open_book, minimal_open_book
 from .report import render_json, render_text
 from .surgery import surgery_characteristics
@@ -59,7 +59,7 @@ def _argv_int(text: str) -> int:
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
     return value
 
 
@@ -146,19 +146,21 @@ def _parse_binding(text: str, graph: PlumbingGraph) -> tuple[int, ...]:
             continue
         name, eq, raw = part.partition("=")
         name = name.strip()
-        value = _read_int(raw, f"binding value for {name!r}", part) if eq and name else None
+        value = _read_int(raw, f"binding value for {_shown(name)}", part) if eq and name else None
         if value is None:
-            raise ValidationError(f"binding entry {part!r} is not of the form id=integer")
+            raise ValidationError(f"binding entry {_shown(part)} is not of the form id=integer")
         if name in values:
-            raise ValidationError(f"binding assigns vertex {name!r} twice")
+            raise ValidationError(f"binding assigns vertex {_shown(name)} twice")
         values[name] = value
     known = set(graph.ids)
     unknown = [name for name in values if name not in known]
     if unknown:
-        raise ValidationError(f"binding names unknown vertices: {', '.join(unknown)}")
+        raise ValidationError("binding names unknown vertices: "
+                              + _shown(", ".join(unknown), quoted=False))
     missing = [vid for vid in graph.ids if vid not in values]
     if missing:
-        raise ValidationError(f"binding is missing vertices: {', '.join(missing)}")
+        raise ValidationError("binding is missing vertices: "
+                              + _shown(", ".join(missing), quoted=False))
     return tuple(values[vid] for vid in graph.ids)
 
 
@@ -230,9 +232,9 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     lo = _read_int(lo_str, "sweep start", text) if sep else None
     hi = _read_int(hi_str, "sweep end", text) if sep else None
     if lo is None or hi is None:
-        raise ValidationError(f"sweep must look like N1..N2, got {text!r}")
+        raise ValidationError(f"sweep must look like N1..N2, got {_shown(text)}")
     if lo > hi:
-        raise ValidationError(f"sweep range {text!r} is empty")
+        raise ValidationError(f"sweep range {_shown(text)} is empty")
     return lo, hi
 
 
@@ -242,7 +244,7 @@ def _run_family(args) -> dict:
             raise ValidationError("--sweep cannot be combined with --N or --t")
         lo, hi = _parse_sweep(args.sweep)
         if args.s != 3:
-            raise ValidationError(f"--sweep needs s = 3: s = {args.s} needs --t, "
+            raise ValidationError(f"--sweep needs s = 3: s = {_shown(args.s)} needs --t, "
                                   "which --sweep does not take")
         members = []
         for n in range(lo, hi + 1):
@@ -271,7 +273,7 @@ def _run_surgery(args) -> dict:
             # a computed mu can only disagree with its graph through a bug;
             # a given one disagrees when the user paired the wrong numbers
             raise ValidationError(
-                f"[surgery] --mu {args.mu} does not fit the graph: {exc}") from None
+                f"[surgery] --mu {_shown(args.mu)} does not fit the graph: {exc}") from None
     else:
         raise ValidationError("surgery needs either --N or both -i and --mu")
     result = surgery_characteristics(args.chi, args.sigma, invariants)

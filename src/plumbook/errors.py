@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one check of every
-vector a caller hands in."""
+"""Exception types shared across the package, the one check of every
+vector a caller hands in, and the one way a value becomes error text."""
+
+import sys
 
 
 class PlumbookError(Exception):
@@ -41,3 +43,40 @@ def _int_vector(values, length: int, name: str) -> tuple[int, ...]:
     if any(type(x) is not int for x in vector):
         raise ValidationError(f"{name} entries must be integers")
     return vector
+
+
+def _shown(value, quoted: bool = True) -> str:
+    """`value` as a message writes it: a str as its repr (as itself if not
+    `quoted`), any other value as str() writes it with the digit cap
+    lifted; either cut to 20 characters and '...', so it stays short."""
+    text = value if isinstance(value, str) else _uncapped(str, value)
+    if len(text) > 20:
+        text = text[:20] + "..."
+    return repr(text) if quoted and isinstance(value, str) else text
+
+
+def _read_int(text: str, name: str, field: str) -> int | None:
+    """int(text), or None if text is no integer.  Past the digit cap of
+    int() (Python 3.10.7 on; older versions have none) a ValidationError
+    names `name` and shows `field`, which holds text."""
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise ValidationError(f"{name} has {len(digits)} digits, more than the interpreter's "
+                                  f"limit of {limit}; got {_shown(field)}") from None
+        return None
+
+
+def _uncapped(walk, *args):
+    """walk(*args) with the int-to-str digit cap lifted, restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        return walk(*args)
+    finally:
+        set_limit(limit)

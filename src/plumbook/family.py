@@ -32,7 +32,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .canonical import canonical_cycle
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, _shown
 from .graph import PlumbingGraph, Vertex
 
 
@@ -53,24 +53,25 @@ class FamilyParams(_FamilyFields):
 
     def __new__(cls, s: int, t: int, N: int):
         if not all(type(x) is int for x in (s, t, N)):
-            raise ValidationError(f"s, t and N must be integers, got s={s!r}, t={t!r}, N={N!r}")
+            raise ValidationError(f"s, t and N must be integers, got s={_shown(s)}, "
+                                  f"t={_shown(t)}, N={_shown(N)}")
         if N < 3:
-            raise ValidationError(f"N must be at least 3, got N={N}")
+            raise ValidationError(f"N must be at least 3, got N={_shown(N)}")
         if s < 1 or t < 1:
-            raise ValidationError(f"s and t must be positive, got s={s}, t={t}")
+            raise ValidationError(f"s and t must be positive, got s={_shown(s)}, t={_shown(t)}")
         if (s + t) % (N - 1) != 0:
-            raise ValidationError(f"N-1 = {N - 1} must divide s+t = {s + t}")
+            raise ValidationError(f"N-1 = {_shown(N - 1)} must divide s+t = {_shown(s + t)}")
         if (s - 1) * (N - 2) % 2 != 0:
             raise ValidationError(
-                f"(s-1)(N-2) = {(s - 1) * (N - 2)} must be even "
+                f"(s-1)(N-2) = {_shown((s - 1) * (N - 2))} must be even "
                 "for the first genus to be an integer")
         if (t - 1) * (N - 2) % 2 != 0:
             raise ValidationError(
-                f"(t-1)(N-2) = {(t - 1) * (N - 2)} must be even "
+                f"(t-1)(N-2) = {_shown((t - 1) * (N - 2))} must be even "
                 "for the second genus to be an integer")
         g = gcd(N - 1, t)
         if g != 1:
-            raise ValidationError(f"gcd(N-1, t) = {g}, expected 1")
+            raise ValidationError(f"gcd(N-1, t) = {_shown(g)}, expected 1")
         return super().__new__(cls, s, t, N)
 
     @classmethod
@@ -80,6 +81,8 @@ class FamilyParams(_FamilyFields):
 
 def default_t(N: int) -> int:
     """The t used by the s = 3 specialization."""
+    if type(N) is not int:
+        raise ValidationError(f"N must be an integer, got {_shown(N)}")
     return 30 * N - 33
 
 
@@ -130,22 +133,22 @@ def milnor_fiber_invariants(graph: PlumbingGraph, mu: int) -> SmoothingInvariant
     not belong together and is raised as an internal inconsistency.
     """
     if type(mu) is not int:
-        raise ValidationError(f"mu must be an integer, got {mu!r}")
+        raise ValidationError(f"mu must be an integer, got {_shown(mu)}")
     cycle = canonical_cycle(graph)
     if not cycle.k_squared_is_integral:
-        raise ConsistencyError(f"K^2 = {cycle.k_squared} is not an integer")
+        raise ConsistencyError(f"K^2 = {_shown(cycle.k_squared)} is not an integer")
     k_squared = int(cycle.k_squared)
     sigma_num = 2 * mu + k_squared + graph.m + 2 * graph.h
     if sigma_num % 3 != 0:
         raise ConsistencyError(
-            f"2*mu + K^2 + m + 2h = {sigma_num} is not divisible by 3")
+            f"2*mu + K^2 + m + 2h = {_shown(sigma_num)} is not divisible by 3")
     p_g_num = mu - k_squared + graph.h - graph.m
     if p_g_num % 12 != 0:
         raise ConsistencyError(
-            f"mu - K^2 + h - m = {p_g_num} is not divisible by 12")
+            f"mu - K^2 + h - m = {_shown(p_g_num)} is not divisible by 12")
     p_g = p_g_num // 12
     if p_g < 0:
-        raise ConsistencyError(f"geometric genus came out negative: {p_g}")
+        raise ConsistencyError(f"geometric genus came out negative: {_shown(p_g)}")
     return SmoothingInvariants(
         graph=graph,
         mu=mu,
@@ -167,14 +170,18 @@ def closed_form_check(N: int) -> ClosedFormValues:
     constraints fail); sigma's quartic has thirds in its coefficients
     and is required to come out integral, never rounded.
     """
+    if type(N) is not int:
+        raise ValidationError(f"N must be an integer, got {_shown(N)}")
     if N < 3:
-        raise ValidationError(f"N must be at least 3, got {N}")
+        raise ValidationError(f"N must be at least 3, got {_shown(N)}")
     if (N - 1) % 3 == 0:
         raise ValidationError(
-            f"N-1 = {N - 1} is divisible by 3; gcd(N-1, t) = 1 fails at t = {default_t(N)}")
+            f"N-1 = {_shown(N - 1)} is divisible by 3; "
+            f"gcd(N-1, t) = 1 fails at t = {_shown(default_t(N))}")
     mu = 900 * N**4 - 3810 * N**3 + 5292 * N**2 - 2705 * N + 322
     sigma = (-300 * N**4 + 960 * N**3
              - Fraction(2348, 3) * N**2 + Fraction(379, 3) * N - 2)
     if sigma.denominator != 1:
-        raise ConsistencyError(f"closed-form signature {sigma} is not integral at N={N}")
+        raise ConsistencyError(
+            f"closed-form signature {_shown(sigma)} is not integral at N={_shown(N)}")
     return ClosedFormValues(mu=mu, sigma=sigma)

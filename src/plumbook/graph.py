@@ -28,11 +28,10 @@ declaration order followed by edges sorted lexicographically.
 from __future__ import annotations
 
 import re
-import sys
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError, ValidationError, _iterable
+from .errors import ParseError, ValidationError, _iterable, _read_int, _shown
 from .rational import Elimination, eliminate_by_degree
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -74,7 +73,8 @@ class PlumbingGraph:
             try:
                 v = v if isinstance(v, Vertex) else Vertex(*v)
             except TypeError:
-                raise ValidationError(f"expected a vertex (<id>, <e>, <g>), got {v!r}") from None
+                raise ValidationError(
+                    f"expected a vertex (<id>, <e>, <g>), got {_shown(v)}") from None
             declared.name(v.id)
             declared.vertex(v)
         if not declared.vertices:
@@ -83,7 +83,8 @@ class PlumbingGraph:
             try:
                 u, w = () if isinstance(edge, str) else edge   # 'ab' would unpack
             except (TypeError, ValueError):
-                raise ValidationError(f"expected an edge (<id>, <id>), got {edge!r}") from None
+                raise ValidationError(
+                    f"expected an edge (<id>, <id>), got {_shown(edge)}") from None
             declared.edge(u, w)
         self._derive(declared)
 
@@ -107,8 +108,9 @@ class PlumbingGraph:
             # every leading block of a negative definite matrix is one: bisect
             failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: _factor_leading(
                 verts, self.adjacency, k) is None)
+            pivot = _shown(verts[failing - 1].id, quoted=False)
             raise ValidationError("intersection matrix is not negative definite "
-                                  f"(pivot at vertex {verts[failing - 1].id})")
+                                  f"(pivot at vertex {pivot})")
         self.factors: Elimination = factors
         self.cycle_rank = len(self.edges) - self.m + 1
         self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
@@ -139,30 +141,31 @@ class _Declarations:
 
     def name(self, vid: str) -> None:
         if not isinstance(vid, str) or not _ID_RE.match(vid):
-            raise ValidationError(f"invalid vertex id {vid!r}")
+            raise ValidationError(f"invalid vertex id {_shown(vid)}")
         if vid in self.index:
-            raise ValidationError(f"duplicate vertex id {vid!r}")
+            raise ValidationError(f"duplicate vertex id {_shown(vid)}")
 
     def vertex(self, v: Vertex) -> None:
         """Record a vertex whose id passed `name`."""
         if type(v.euler) is not int or type(v.genus) is not int:
-            raise ValidationError(f"e and g must be integers, got e={v.euler!r} g={v.genus!r}")
+            raise ValidationError(f"e and g must be integers, got e={_shown(v.euler)} "
+                                  f"g={_shown(v.genus)}")
         if v.genus < 0:
-            raise ValidationError(f"genus must be nonnegative, got {v.genus}")
+            raise ValidationError(f"genus must be nonnegative, got {_shown(v.genus)}")
         self.index[v.id] = len(self.vertices)
         self.vertices.append(v)
 
     def edge(self, u: str, w: str) -> None:
         for endpoint in (u, w):
             if not isinstance(endpoint, str) or endpoint not in self.index:
-                raise ValidationError(f"unknown edge endpoint {endpoint!r}")
+                raise ValidationError(f"unknown edge endpoint {_shown(endpoint)}")
         if u == w:
-            raise ValidationError(f"loop edge at vertex {u!r} is not allowed")
+            raise ValidationError(f"loop edge at vertex {_shown(u)} is not allowed")
         i, j = self.index[u], self.index[w]
         pair = (i, j) if i < j else (j, i)
         if pair in self.pairs:
             first, second = sorted((u, w))
-            raise ValidationError(f"repeated edge between {first!r} and {second!r}")
+            raise ValidationError(f"repeated edge between {_shown(first)} and {_shown(second)}")
         self.pairs.add(pair)
 
 
@@ -201,7 +204,7 @@ def parse_graph(text: str) -> PlumbingGraph:
                     raise ValidationError("expected 'edge <id> <id>'")
                 edge(fields[1], fields[2])
             else:
-                raise ValidationError(f"unknown directive {directive!r}")
+                raise ValidationError(f"unknown directive {_shown(directive)}")
     except ValidationError as exc:
         raise ParseError(str(exc), lineno) from None
     if not declared.vertices:
@@ -215,28 +218,8 @@ def _keyed_int(field: str, prefix: str) -> int:
     keyed = field.startswith(prefix)
     value = _read_int(field[len(prefix):], f"'{prefix}'", field) if keyed else None
     if value is None:
-        raise ValidationError(f"expected '{prefix}<int>', got {_clipped(field)!r}")
+        raise ValidationError(f"expected '{prefix}<int>', got {_shown(field)}")
     return value
-
-
-def _read_int(text: str, name: str, field: str) -> int | None:
-    """int(text), or None if text is no integer.  Past the digit cap of
-    int() (Python 3.10.7 on; older versions have none) a ValidationError
-    names `name` and shows `field`, which holds text, cut to 20 characters."""
-    try:
-        return int(text)
-    except ValueError:
-        text = text.strip()
-        digits = text[1:] if text.startswith(("+", "-")) else text
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if digits.isdecimal() and 0 < limit < len(digits):
-            raise ValidationError(f"{name} has {len(digits)} digits, more than the interpreter's "
-                                  f"limit of {limit}; got {_clipped(field)!r}") from None
-        return None
-
-
-def _clipped(field: str) -> str:
-    return field if len(field) <= 20 else field[:20] + "..."
 
 
 def serialize_graph(graph: PlumbingGraph) -> str:

@@ -83,7 +83,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, ValidationError, _int_vector
+from .errors import ConsistencyError, ValidationError, _int_vector, _shown
 from .graph import PlumbingGraph
 
 
@@ -162,10 +162,10 @@ def build_open_book(graph: PlumbingGraph,
     if scale is None:
         scale = least
     elif type(scale) is not int or scale < 1:
-        raise ValidationError(f"scale must be a positive integer, got {scale!r}")
+        raise ValidationError(f"scale must be a positive integer, got {_shown(scale)}")
     elif scale % least != 0:
         raise ValidationError(
-            f"scale {scale} is not a multiple of the minimal scale {least}")
+            f"scale {_shown(scale)} is not a multiple of the minimal scale {_shown(least)}")
     multiplicities = tuple(scale * y // det for y in scaled)
     if any(x <= 0 for x in multiplicities):
         raise ConsistencyError(
@@ -188,7 +188,8 @@ def verify_gluing(description: OpenBookDescription) -> tuple[str, ...]:
     """Failures of the vertex relation, by integer row sums; () if none."""
     graph = description.graph
     rows = _intersection_with(graph, description.multiplicities)
-    return tuple(f"vertex {vertex.id}: multiplicity relation gives {total}, expected {-b}"
+    return tuple(f"vertex {_shown(vertex.id, quoted=False)}: multiplicity relation gives "
+                 f"{_shown(total)}, expected {_shown(-b)}"
                  for vertex, total, b in zip(graph.vertices, rows, description.binding_counts)
                  if total != -b)
 

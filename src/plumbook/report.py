@@ -31,8 +31,9 @@ dict turns up in it.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
+
+from .errors import _uncapped
 
 _INDENT = "  "
 _json_str = None   # json.encoder's string quoting, imported by the first render_json
@@ -77,17 +78,6 @@ def _json(value, pad: str) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
-
-
-def _uncapped(walk, *args):
-    """walk(*args) with the int-to-str digit cap lifted, restored after."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
-    set_limit(0)
-    try:
-        return walk(*args)
-    finally:
-        set_limit(limit)
 
 
 def render_json(data: dict) -> str:

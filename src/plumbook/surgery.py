@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .family import SmoothingInvariants
 
 
@@ -51,7 +51,7 @@ def surgery_characteristics(
     """
     for field, value in (("chi", chi), ("sigma", sigma)):
         if type(value) is not int:
-            raise ValidationError(f"{field} must be an integer, got {value!r}")
+            raise ValidationError(f"{field} must be an integer, got {_shown(value)}")
     graph = invariants.graph
     chi = chi - graph.chi_neighborhood + 1 + invariants.mu
     sigma = sigma + graph.m + invariants.sigma

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plumbook
@@ -544,8 +544,31 @@ class TestPastTheDigitLimit:
             report = json.loads(out)
         assert (report["mu"], report["sigma of smoothing"]) == quartics(N)
 
+    def test_a_scale_that_is_no_multiple_of_a_huge_least_one_is_one_short_line(
+            self, capsys, tmp_path):
+        text, det = huge_pair()
+        path = tmp_path / "big.pg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "openbook", "-i", str(path), "--n", "A=1,B=2", "--k", "7")
+        # I = [[e, 1], [1, e]] and det I.N = -adj(I).n = (2 - e, 1 - 2e) at n = (1, 2)
+        e = -10 ** 4000
+        least = det // math.gcd(det, 2 - e, 1 - 2 * e)
+        with digits_unlimited():
+            shown = str(least)[:20]
+        assert (code, out) == (1, "")
+        assert err == f"error: scale 7 is not a multiple of the minimal scale {shown}...\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == DIGIT_LIMIT
+
+    def test_a_family_constraint_on_a_sum_past_the_limit_is_one_short_line(self, capsys):
+        t = "9" * (DIGIT_LIMIT or 4300)
+        code, out, err = run(capsys, "family", "--N", "5", "--t", t)
+        assert (code, out) == (1, "")
+        assert err == "error: N-1 = 4 must divide s+t = 10000000000000000000...\n"
+
 
 NINES = "9" * (DIGIT_LIMIT + 1)
+# as many digits as int() reads: valid, but a number derived from it may pass the limit
+IN_CAP = "9" * (DIGIT_LIMIT or 4300)
 A1 = str(GOLDEN / "a1.pg")
 
 
@@ -626,6 +649,10 @@ MUTATIONS = {
     "negative genus": r"genus must be nonnegative, got -1",
     "non-UTF-8 byte": r"input is not UTF-8: byte 0xff at offset \d+",
     "digit limit": r"'e=' has \d+ digits, more than the interpreter's limit",
+    "long invalid id": r"invalid vertex id '!{20}\.\.\.'",
+    "long directive": r"unknown directive 'x{20}\.\.\.'",
+    "long endpoint": r"unknown edge endpoint 'u{20}\.\.\.'",
+    "huge negative genus": r"genus must be nonnegative, got -9{19}\.\.\.",
 }
 
 
@@ -664,14 +691,21 @@ def mutated_files(draw, mutation):
         tokens = lines[fault].split()
         del tokens[draw(st.integers(0, len(tokens) - 1))]
         lines[fault] = " ".join(tokens)
-    elif mutation in ("negative genus", "digit limit"):
+    elif mutation in ("negative genus", "digit limit", "long invalid id", "huge negative genus"):
         fault = pick("vertex ")
         vid, e, g = lines[fault].split()[1:]
         if mutation == "negative genus":
             g = "g=-1"
+        elif mutation == "huge negative genus":
+            g = "g=-" + "9" * 4000   # within the digit limit, so it reads as an int
+        elif mutation == "long invalid id":
+            vid = "!" * 5000
         else:
             e = "e=-" + "9" * (DIGIT_LIMIT + 1)
         lines[fault] = f"vertex {vid} {e} {g}"
+    elif mutation == "long directive":
+        fault = draw(st.integers(0, len(lines)))
+        lines.insert(fault, "x" * 5000)
     elif mutation == "non-UTF-8 byte":
         fault = draw(st.integers(0, len(lines) - 1))
     else:
@@ -683,7 +717,7 @@ def mutated_files(draw, mutation):
         elif mutation == "repeated edge":
             line = f"edge {second} {first}" if draw(st.booleans()) else lines[after]
         else:
-            other = "u" if mutation == "undeclared endpoint" else first
+            other = {"undeclared endpoint": "u", "long endpoint": "u" * 5000}.get(mutation, first)
             line = f"edge {first} {other}" if draw(st.booleans()) else f"edge {other} {first}"
         lines.insert(fault, line)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -712,6 +746,7 @@ def test_one_mutated_line_is_one_error_line(mutation, draws, subcommand):
     code, out, err = run_on_stdin([subcommand, "-i", "-"], data)
     assert (code, out) == (1, ""), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert len(err.encode()) < 200, err[:300]
     assert re.fullmatch(rf"error: line {line}: ({MUTATIONS[mutation]}).*\n", err), err
 
 
@@ -747,7 +782,8 @@ def _with_int(flag: str, text: str, first: bool) -> str:
 def mutated_argv(draw):
     """(argv, whether exit 0 is allowed): a valid command line with one
     near-valid mutation.  Dropping, duplicating or swapping flags may leave
-    a valid command line; every other mutation makes it wrong."""
+    a valid command line, and so may an int of as many digits as the limit
+    allows; every other mutation makes it wrong."""
     subcommand, items = draw(st.sampled_from(VALID_ARGV))
     items = [[flag] if value is None else [flag, value] for flag, value in items]
     kinds = ["drop", "duplicate", "swap"]
@@ -758,6 +794,7 @@ def mutated_argv(draw):
     if any(item[0] == "--mu" for item in items):
         kinds.append("wrong mu")
     kind = draw(st.sampled_from(kinds))
+    text = None
     at = draw(st.integers(0, len(items) - 1))
     item = items[at]
     if kind == "drop":
@@ -776,22 +813,31 @@ def mutated_argv(draw):
             items[at], items[other] = items[other], items[at]
     elif kind == "value":
         target = draw(st.sampled_from([item for item in items if item[0] in INT_VALUED]))
-        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "5a"]
-                                    + [NINES] * bool(DIGIT_LIMIT)))
-        target[1] = _with_int(target[0], text, draw(st.booleans()))
+        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "5a", "x" * 5000]
+                                    + [NINES] * bool(DIGIT_LIMIT) + [IN_CAP]))
+        if draw(st.booleans()):   # the value alone, with no 'a=' or '..' around it
+            target[1] = text
+        else:   # IN_CAP starts a sweep: one that ends there would never finish
+            target[1] = _with_int(target[0], text, text == IN_CAP or draw(st.booleans()))
     elif kind == "unknown vertex":
-        items[1][1] = draw(st.sampled_from(["zz=2", "a=2,zz=1", "A=2"]))
+        items[1][1] = draw(st.sampled_from(["zz=2", "a=2,zz=1", "A=2", "n" * 5000 + "=2"]))
     else:
         # mu fits the chain only when p_g = mu/12 is an integer >= 0
         mu = draw(st.integers(-100, 10 ** 6).filter(lambda mu: mu < 0 or mu % 12))
         next(item for item in items if item[0] == "--mu")[1] = str(mu)
     argv = [subcommand] + [token for item in items for token in item]
-    return argv, kind in ("drop", "duplicate", "swap")
+    return argv, kind in ("drop", "duplicate", "swap") or text == IN_CAP
 
 
-# no near-valid argv reaches a traceback or the internal-consistency exit
+# no near-valid argv reaches a traceback or the internal-consistency exit,
+# and no error line echoes a long value
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated_argv())
+@example((["family", "--s", "3", "--t", IN_CAP, "--N", "5", "--json"], True))
+@example((["family", "--sweep", NINES], False))
+@example((["openbook", "-i", A1, "--n", NINES, "--json"], False))
+@example((["openbook", "-i", A1, "--n", "n" * 5000 + "=2", "--json"], False))
+@example((["family", "--N", "x" * 5000], False))
 def test_a_mutated_argv_is_one_error_line_or_the_usage(case):
     argv, may_succeed = case
     out, err = io.StringIO(), io.StringIO()
@@ -803,10 +849,12 @@ def test_a_mutated_argv_is_one_error_line_or_the_usage(case):
     elif code == 1:
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err.encode()) < 200, err[:300]
     else:
         assert code == 64, (argv, code, err)
         assert out == "", argv
         assert err.startswith("usage: plumbook") and ": error: " in err, err
+        assert len(err.encode()) < 400, err[:500]
 
 
 # argv that end in argparse: usage errors (exit 64) and help (exit 0)

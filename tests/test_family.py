@@ -182,6 +182,18 @@ class TestClosedForm:
         with pytest.raises(ValidationError, match="divisible by 3"):
             closed_form_check(7)
 
+    @pytest.mark.parametrize("N, shown", [(5.0, "5.0"), (True, "True"), ("5", "'5'"),
+                                          (None, "None"), (Fraction(5), "5")])
+    @pytest.mark.parametrize("call", [closed_form_check, default_t])
+    def test_N_must_be_an_int(self, call, N, shown):
+        with pytest.raises(ValidationError) as caught:
+            call(N)
+        assert str(caught.value) == f"N must be an integer, got {shown}"
+
+    def test_an_int_N_gives_what_it_gave(self):
+        assert default_t(5) == 117 and default_t(-1) == -63
+        assert closed_form_check(5) == (205347, Fraction(-86437))
+
     def test_matches_pipeline_on_full_set(self):
         for N in N_SET:
             params = s3_params(N)

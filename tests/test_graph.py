@@ -180,6 +180,9 @@ FAULTS = {
     "reversed repeated edge": (
         [("a", -2, 0), ("b", -2, 0)], [("a", "b"), ("b", "a")],
         "vertex a e=-2 g=0\nvertex b e=-2 g=0\nedge a b\nedge b a\n", 4),
+    "long id": ([("!" * 5000, -2, 0)], [], f"vertex {'!' * 5000} e=-2 g=0\n", 1),
+    "huge negative genus": ([("a", -2, -int("9" * 4000))], [],
+                            f"vertex a e=-2 g=-{'9' * 4000}\n", 1),
 }
 
 
@@ -194,6 +197,16 @@ class TestOneSetOfRules:
             parse_graph(text)
         assert str(parsed.value) == f"line {line}: {built.value}"
         assert parsed.value.line == line
+
+    @pytest.mark.parametrize("fault, message", [
+        ("long id", "invalid vertex id '!!!!!!!!!!!!!!!!!!!!...'"),
+        ("huge negative genus", "genus must be nonnegative, got -9999999999999999999..."),
+    ], ids=["long id", "huge negative genus"])
+    def test_a_long_value_is_cut_to_20_characters(self, fault, message):
+        vertices, edges, _, _ = FAULTS[fault]
+        with pytest.raises(ValidationError) as built:
+            PlumbingGraph(vertices, edges)
+        assert str(built.value) == message
 
     def test_first_faulty_line_wins(self):
         # a loop edge on line 3 ahead of a duplicate vertex on line 4
@@ -257,6 +270,12 @@ class TestValidate:
     def test_indefinite_rejected(self):
         with pytest.raises(ValidationError, match="not negative definite"):
             PlumbingGraph([("a", 1, 0)])
+
+    def test_a_long_failing_id_is_cut_to_20_characters(self):
+        with pytest.raises(ValidationError) as caught:
+            PlumbingGraph([("a" * 5000, 1, 0)])
+        assert str(caught.value) == ("intersection matrix is not negative definite "
+                                     f"(pivot at vertex {'a' * 20}...)")
 
     def test_null_direction_rejected(self):
         with pytest.raises(ValidationError, match="not negative definite"):

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import plumbook
 from plumbook import (CanonicalCycle, EdgeCurve, FamilyParams, OpenBookDescription,
                       PlumbingGraph, SmoothingInvariants, SurgeryReport, ValidationError,
-                      Vertex, build_open_book, milnor_fiber_invariants, parse_graph,
-                      surgery_characteristics)
+                      Vertex, build_open_book, closed_form_check, default_t,
+                      milnor_fiber_invariants, parse_graph, surgery_characteristics)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -101,6 +101,8 @@ INT_ENTRIES = {
     "surgery_characteristics": (lambda v: surgery_characteristics(v[0], v[1], INVARIANTS),
                                 [1, -100], False),
     "milnor_fiber_invariants": (lambda v: milnor_fiber_invariants(GRAPH, v[0]), [9865], False),
+    "closed_form_check": (lambda v: closed_form_check(v[0]), [5], False),
+    "default_t": (lambda v: default_t(v[0]), [5], False),
     "PlumbingGraph weights": (lambda v: PlumbingGraph([("A", v[0], v[1]), ("B", v[2], v[3])],
                                                       [("A", "B")]), [-3, 1, -1, 28], False),
 }
