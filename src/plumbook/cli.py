@@ -44,11 +44,23 @@ _B1_NOTE = ("b1 = 0 is assumed, not computed; it holds when the embedding of the
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with code 64."""
+    """ArgumentParser whose usage failures exit with code 64 and show at
+    most 20 characters of an argument they quote."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + _shown(" ".join(extra), quoted=False))
+        return args
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            value = _shown(value, quoted=False)   # still no choice; argparse quotes it
+        super()._check_value(action, value)
 
 
 def _argv_int(text: str) -> int:
@@ -371,6 +383,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, OSError) as exc:
+        if isinstance(getattr(exc, "filename", None), str):   # str(exc) quotes it whole
+            exc.filename = _shown(exc.filename, quoted=False)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(render_json(report) if args.json else render_text(report))

@@ -7,7 +7,8 @@ multi-edges are forbidden: two curves meet in at most one point and a
 curve does not meet itself in this configuration model.  A
 `PlumbingGraph` that exists is valid: its constructor checks all of
 this and keeps the factorization it checked definiteness with.  The
-parser checks each line by the constructor's own rules and messages.
+parser checks a file by the constructor's own rules and messages: a plain
+file all at once, any other line by line (see `parse_graph`).
 
 Text format (UTF-8, line oriented)::
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError, _iterable, _read_int, _shown
@@ -95,15 +97,16 @@ class PlumbingGraph:
         self.ids: tuple[str, ...] = tuple(declared.index)
         self.m = len(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(declared.pairs))
-        nbrs: list[list[int]] = [[] for _ in verts]
-        for i, j in self.edges:    # sorted, so each list comes out ascending
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
-        self.degrees: tuple[int, ...] = tuple(map(len, nbrs))
+        rows: list[dict[int, int]] = [{} for _ in verts]   # the intersection matrix
+        for i, j in self.edges:    # sorted, so each row's neighbours come out ascending
+            rows[i][j] = rows[j][i] = 1
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
+        self.degrees: tuple[int, ...] = tuple(map(len, rows))
         if not _is_connected(self.adjacency):
             raise ValidationError("graph is disconnected")
-        factors = _factor_leading(verts, self.adjacency, self.m)
+        for v, (_, euler, _) in enumerate(verts):
+            rows[v][v] = euler
+        factors = eliminate_by_degree(rows)
         if factors is None:
             # every leading block of a negative definite matrix is one: bisect
             failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: _factor_leading(
@@ -113,8 +116,9 @@ class PlumbingGraph:
                                   f"(pivot at vertex {pivot})")
         self.factors: Elimination = factors
         self.cycle_rank = len(self.edges) - self.m + 1
-        self.h = 2 * sum(v.genus for v in verts) + self.cycle_rank
-        self.chi_neighborhood = sum(2 - 2 * v.genus for v in verts) - len(self.edges)
+        genera = sum([genus for _, _, genus in verts])
+        self.h = 2 * genera + self.cycle_rank
+        self.chi_neighborhood = 2 * (self.m - genera) - len(self.edges)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PlumbingGraph)
@@ -172,11 +176,64 @@ class _Declarations:
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format.
 
-    Each line passes the constructor's rules as it is read; the first
-    faulty line raises ParseError with its number.  The graph is then
-    derived once.  A graph that parses but is disconnected or not
+    A plain file (see `_read_plain`) is read in one bulk pass; any other
+    file, and any plain file that breaks a rule, is read line by line,
+    where each line passes the constructor's rules as it is read and the
+    first faulty line raises ParseError with its number.  The graph is
+    then derived once.  A graph that parses but is disconnected or not
     negative definite raises the constructor's ValidationError.
     """
+    graph = PlumbingGraph.__new__(PlumbingGraph)
+    graph._derive(_read_plain(text) or _read_lines(text))
+    return graph
+
+
+def _read_plain(text: str) -> _Declarations | None:
+    """The declarations of a plain file that keeps every rule, read from all
+    its words at once, or None: the line loop then reads the file.  In a
+    plain file there is no '#' and no CR, and every line that is not empty
+    starts with "vertex " or, after the last of those, with "edge "."""
+    if "#" in text or "\r" in text:
+        return None
+    words, lines, starts = text.split(), text.split("\n"), "\n" + text
+    nv, ne = starts.count("\nvertex "), starts.count("\nedge ")
+    mid = 4 * nv
+    if (not nv or len(lines) - lines.count("") != nv + ne or len(words) != mid + 3 * ne
+            or words[:mid:4] != ["vertex"] * nv or words[mid::3] != ["edge"] * ne):
+        return None
+    ids, us, ws = words[1:mid:4], words[mid + 1::3], words[mid + 2::3]
+    declared = _Declarations()
+    index = declared.index = dict(zip(ids, range(nv)))
+    # No id is a directive and every endpoint is an id, so directives stand
+    # only where the declarations' do, and the lines that start with them
+    # are all the lines: each holds one declaration.
+    if (len(index) < nv or "vertex" in index or "edge" in index
+            or not _ID_RE.match("".join(ids)) or any(map(str.__eq__, us, ws))):
+        return None
+    try:
+        euler, genus = _keyed_ints(words[2:mid:4], "e="), _keyed_ints(words[3:mid:4], "g=")
+        ii, jj = [*map(index.__getitem__, us)], [*map(index.__getitem__, ws)]
+    except (ValueError, KeyError):
+        return None
+    declared.pairs = {(i, j) if i < j else (j, i) for i, j in zip(ii, jj)}
+    if min(genus) < 0 or len(declared.pairs) < ne:
+        return None
+    declared.vertices = [*map(tuple.__new__, repeat(Vertex), zip(ids, euler, genus))]
+    return declared
+
+
+def _keyed_ints(fields: list[str], prefix: str) -> list[int]:
+    """The ints after `prefix` in fields that all start with it, or a
+    ValueError.  Split at "," + prefix, the fields joined by commas come
+    apart at every join and nowhere else, as no int holds a comma."""
+    pieces = ("," + ",".join(fields)).split("," + prefix)
+    if len(pieces) != len(fields) + 1 or pieces[0]:
+        raise ValueError
+    return [*map(int, pieces[1:])]
+
+
+def _read_lines(text: str) -> _Declarations:
+    """The declarations of any file, one line at a time."""
     declared = _Declarations()
     name, vertex, edge = declared.name, declared.vertex, declared.edge
     lines = _LINE_END_RE.split(text) if "\r" in text else text.split("\n")
@@ -209,9 +266,7 @@ def parse_graph(text: str) -> PlumbingGraph:
         raise ParseError(str(exc), lineno) from None
     if not declared.vertices:
         raise ParseError("no vertices declared")
-    graph = PlumbingGraph.__new__(PlumbingGraph)
-    graph._derive(declared)
-    return graph
+    return declared
 
 
 def _keyed_int(field: str, prefix: str) -> int:
@@ -224,18 +279,20 @@ def _keyed_int(field: str, prefix: str) -> int:
 
 def serialize_graph(graph: PlumbingGraph) -> str:
     """Canonical text form: declaration-order vertices, sorted edges."""
-    lines = [f"vertex {v.id} e={v.euler} g={v.genus}" for v in graph.vertices]
+    lines = [f"vertex {vid} e={euler} g={genus}" for vid, euler, genus in graph.vertices]
     names = graph.ids
-    pairs = sorted((names[i], names[j]) if names[i] < names[j] else (names[j], names[i])
-                   for i, j in graph.edges)
-    lines.extend(f"edge {u} {w}" for u, w in pairs)
+    # no id holds a space or anything below it, so the lines sort as their id pairs
+    lines += sorted([f"edge {u} {w}" if u < w else f"edge {w} {u}"
+                     for u, w in [(names[i], names[j]) for i, j in graph.edges]])
     return "\n".join(lines) + "\n"
 
 
 def _factor_leading(verts: list[Vertex], adjacency: tuple[tuple[int, ...], ...],
                     k: int) -> Elimination | None:
     """Factors of the block of vertices 0..k-1 in minimum-degree order, or
-    None: a row holds the vertex's Euler number and a 1 per edge in the block."""
+    None: a row holds the vertex's Euler number and a 1 per edge in the block.
+    Only the bisection that names a failing vertex factors a leading block;
+    `_derive` builds the whole matrix's rows as it reads the edges."""
     rows = []
     for v, around in enumerate(adjacency[:k]):
         row = dict.fromkeys(around[:bisect_left(around, k)], 1)

@@ -80,6 +80,7 @@ ceil(x)), one more substitution to evaluate.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -113,19 +114,19 @@ class OpenBookDescription(NamedTuple):
     @property
     def binding_counts(self) -> tuple[int, ...]:
         """b = scale * n."""
-        return tuple(self.scale * n for n in self.binding)
+        return tuple([self.scale * n for n in self.binding])
 
     @property
     def outer_slopes(self) -> tuple[tuple[int, int], ...]:
-        return tuple((-v.euler * m, m)
-                     for v, m in zip(self.graph.vertices, self.multiplicities))
+        return tuple([(-euler * m, m)
+                      for (_, euler, _), m in zip(self.graph.vertices, self.multiplicities)])
 
     @property
     def edge_curves(self) -> tuple[EdgeCurve, ...]:
         names, mult = self.graph.ids, self.multiplicities
-        return tuple(EdgeCurve(names[i], names[j], (mult[j], -mult[i]), (mult[i], -mult[j]),
-                               gcd(mult[i], mult[j]))
-                     for i, j in self.graph.edges)
+        return tuple(map(tuple.__new__, repeat(EdgeCurve), [   # no Python call per edge
+            (names[i], names[j], (mult[j], -mult[i]), (mult[i], -mult[j]), gcd(mult[i], mult[j]))
+            for i, j in self.graph.edges]))
 
     @property
     def page_euler(self) -> int:

@@ -8,9 +8,10 @@ with positive denominator, collapsed to "p" when integral; bools render
 as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
-write int and str leaves in the comprehension that joins their
-container.  The JSON is byte for byte `json.dumps(indent=2)` of the same
-tree with Fractions as "p/q" strings and tuples as lists.  The walk
+write int and str leaves, and tuples of exactly two ints, in the
+comprehension that joins their container.  The JSON is byte for byte
+`json.dumps(indent=2)` of the same tree with Fractions as "p/q" strings
+and tuples as lists.  The walk
 lifts Python's cap on int-to-str digits (3.10.7 on) and restores it
 after, so ints of any size print.
 
@@ -52,8 +53,12 @@ def _json(value, pad: str) -> str:
         if not value:
             return "[]"
         inner = pad + _INDENT
+        deeper = inner + _INDENT
         items = [f"{item}" if (leaf := type(item)) is int
-                 else _json_str(item) if leaf is str else _json(item, inner)
+                 else _json_str(item) if leaf is str
+                 else f"[\n{deeper}{item[0]},\n{deeper}{item[1]}\n{inner}]"
+                 if leaf is tuple and len(item) == 2 and type(item[0]) is type(item[1]) is int
+                 else _json(item, inner)
                  for item in value]
         sep = ",\n" + inner
         return f"[\n{inner}{sep.join(items)}\n{pad}]"
@@ -61,9 +66,12 @@ def _json(value, pad: str) -> str:
         if not value:
             return "{}"
         inner = pad + _INDENT
-        items = [f"{_json_str(key)}: "
-                 + (f"{item}" if (leaf := type(item)) is int
-                    else _json_str(item) if leaf is str else _json(item, inner))
+        deeper = inner + _INDENT
+        items = [f"{_json_str(key)}: {item}" if (leaf := type(item)) is int
+                 else f"{_json_str(key)}: {_json_str(item)}" if leaf is str
+                 else f"{_json_str(key)}: [\n{deeper}{item[0]},\n{deeper}{item[1]}\n{inner}]"
+                 if leaf is tuple and len(item) == 2 and type(item[0]) is type(item[1]) is int
+                 else f"{_json_str(key)}: {_json(item, inner)}"
                  for key, item in value.items()]
         sep = ",\n" + inner
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
@@ -97,6 +105,8 @@ def _inline(value) -> str:
     kind = type(value)
     if kind is list or kind is tuple:
         return "(" + ", ".join([f"{item}" if (leaf := type(item)) is int or leaf is str
+                                else f"({item[0]}, {item[1]})" if leaf is tuple
+                                and len(item) == 2 and type(item[0]) is type(item[1]) is int
                                 else _inline(item) for item in value]) + ")"
     if kind is str:
         return value
@@ -121,6 +131,8 @@ def _render_block(data: dict, pad: str, lines: list) -> None:
         kind = type(value)
         if kind is int or kind is str:
             lines.append(f"{pad}{key}: {value}")
+        elif kind is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+            lines.append(f"{pad}{key}: ({value[0]}, {value[1]})")
         elif kind is dict:
             lines.append(f"{pad}{key}:")
             _render_block(value, inner, lines)

@@ -838,6 +838,9 @@ def mutated_argv(draw):
 @example((["openbook", "-i", A1, "--n", NINES, "--json"], False))
 @example((["openbook", "-i", A1, "--n", "n" * 5000 + "=2", "--json"], False))
 @example((["family", "--N", "x" * 5000], False))
+@example((["check", "-i", A1, "x" * 5000], False))   # argparse's own lines and a file name
+@example((["x" * 5000], False))
+@example((["check", "-i", "x" * 5000], False))
 def test_a_mutated_argv_is_one_error_line_or_the_usage(case):
     argv, may_succeed = case
     out, err = io.StringIO(), io.StringIO()

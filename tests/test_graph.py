@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbook import (ParseError, PlumbingGraph, ValidationError, Vertex,
                       parse_graph, serialize_graph)
@@ -319,3 +323,134 @@ class TestValidate:
             parse_graph(text)
         assert not isinstance(caught.value, ParseError)
         assert str(caught.value) == message
+
+
+# What a mutation writes into a weight field: ints that int() reads in
+# more than one way, ints past the digit cap, and weights that break a rule
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+WEIGHT_TOKENS = ["e=+5", "g=+1", "e=-1_0", "g=1_0", "e=-\u0663", "g=\u0661", "e=-\uff15",
+                 f"e=-{'9' * (DIGIT_LIMIT + 1)}", f"g={'9' * (DIGIT_LIMIT + 1)}",
+                 "g=-1", "e=-2,e=-3", "g=", "e=1e3"]
+# ... and into any field, ids that are directives among them
+FIELD_TOKENS = WEIGHT_TOKENS + ["vertex", "edge", "e=-2", "g=0", "e=x", "x=-2", "a!", "zz",
+                                ",e=-2"]
+
+
+@st.composite
+def graph_texts(draw):
+    """(text, plain): a valid graph file in any declaration order and
+    layout, or the same file with one mutation; `plain` when the file
+    is an unmutated one of the kind the bulk pass reads (no id there is
+    a directive)."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c1", "D_2", "vertex", "edge", "x" * 25])
+                        | st.text("abcXYZ019_", min_size=1, max_size=3),
+                        min_size=n, max_size=n, unique=True))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    degree = [sum(v in edge for edge in edges) for v in range(n)]
+    rows = [["vertex", vid, f"e={-(deg + 1 + draw(st.integers(0, 3)))}",
+             f"g={draw(st.integers(0, 2))}"] for vid, deg in zip(ids, degree)]
+    edge_rows = [["edge", ids[i], ids[j]] if draw(st.booleans()) else ["edge", ids[j], ids[i]]
+                 for i, j in draw(st.permutations(edges))]
+    if draw(st.booleans()):   # each edge somewhere after both its endpoints
+        for row in edge_rows:
+            last = max(rows.index(next(r for r in rows if r[:2] == ["vertex", u]))
+                       for u in row[1:])
+            rows.insert(draw(st.integers(last + 1, len(rows))), row)
+    else:
+        rows += edge_rows
+    vertices_first = all(row[0] == "vertex" for row in rows[:n])
+    kind = draw(st.sampled_from(["none", "field", "weight", "extra field", "drop field",
+                                 "comment", "duplicate", "edge first", "loop",
+                                 "reversed repeat", "line ends"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
+    if kind == "weight":
+        vertex = draw(st.sampled_from([row for row in rows if row[0] == "vertex"]))
+        vertex[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(WEIGHT_TOKENS))
+    elif kind == "field":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FIELD_TOKENS + ids))
+    elif kind == "extra field":
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(FIELD_TOKENS)))
+    elif kind == "drop field":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    elif kind == "edge first" and edges:
+        rows.insert(0, edge_rows[0])
+    elif kind == "loop":
+        rows.append(["edge", row[1], row[1]])
+    elif kind == "reversed repeat" and edges:
+        rows.append(["edge", edge_rows[0][2], edge_rows[0][1]])
+    plain = not draw(st.booleans())
+    seps = [" "] if plain else [" ", "  ", "\t", "\x0c", "\u2028", "\r"]
+    lines = [draw(st.sampled_from(["", "", " ", "\t"])) * (not plain)
+             + "".join(field + draw(st.sampled_from(seps)) for field in row[:-1]) + row[-1]
+             for row in rows if row]
+    if not plain:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\x0b"])))
+    if kind == "comment":
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), "# a note")
+        else:
+            lines[at % len(lines)] += draw(st.sampled_from(["  # note", "#",
+                                                             " #vertex q e=-2 g=0"]))
+    end = draw(st.sampled_from(["\r\n", "\r"])) if kind == "line ends" else "\n"
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, plain and vertices_first and kind == "none" and not {"vertex", "edge"} & set(ids)
+
+
+def outcome(read, text):
+    """The graph of the declarations `read` takes from text, as its vertices
+    and edges, or the type and message of the error on the way."""
+    try:
+        graph = read(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is Vertex and type(v.euler) is int is type(v.genus) for v in graph.vertices)
+    return graph.vertices, graph.edges
+
+
+def read_lines(text):
+    graph = PlumbingGraph.__new__(PlumbingGraph)
+    graph._derive(graph_module._read_lines(text))
+    return graph
+
+
+class TestBulkPass:
+    """`parse_graph` reads a plain file in one pass over all its words and
+    hands every other file to the line loop; both must read the same graph
+    or raise the same error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(graph_texts())
+    def test_parse_graph_reads_what_the_line_loop_reads(self, case):
+        text, plain = case
+        declared = graph_module._read_plain(text)   # raises nothing, whatever the text
+        assert outcome(parse_graph, text) == outcome(read_lines, text)
+        if plain:
+            assert declared is not None, text
+
+    @pytest.mark.parametrize("text", [
+        *(text for _, _, text, _ in FAULTS.values()),   # plain files that break one rule
+        "vertex a e=-2\ng=0\n",   # the words of one declaration on two lines
+        "vertex a e=-2 g=0 vertex\nvertex e=-2 g=0\n",   # as many words, lines and directives
+        "vertex a\re=-2 g=0\n",
+        "vertex a e=-2\ng=0 vertex b e=-2 g=0\nedge a b\n",
+        "vertex a e=-2 g=0 vertex\nb e=-2 g=0\nedge a b\n",
+        "vertex vertex e=-2 g=0\nvertex b e=-2 g=0\nedge vertex b\n",
+        "vertex a e=-2,e=-3 g=0\n",
+        "vertex a e=-2 g=0\n\n\nvertex b e=-2 g=0\nedge b a\n\n",
+        "vertex a e=-2 g=0\nedge a b\nvertex b e=-2 g=0\n",
+        "vertex a e=-2 g=0\n \nvertex b e=-2 g=0\nedge a b\n",
+    ])
+    def test_texts_near_the_bulk_pass_rules(self, text):
+        assert outcome(parse_graph, text) == outcome(read_lines, text)
+
+    def test_a_plain_file_takes_the_bulk_pass(self, fixed_corpus):
+        for graph in fixed_corpus.values():
+            text = serialize_graph(graph)
+            declared = graph_module._read_plain(text)
+            assert declared is not None
+            assert declared.vertices == list(graph.vertices)
+            assert declared.pairs == set(graph.edges)

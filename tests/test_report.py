@@ -1,11 +1,11 @@
+import contextlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import sys
 
 from plumbook import render_json, render_text
 
@@ -132,10 +132,12 @@ def reference_json(value):
 
 
 LONG = 10 ** 299   # an int of at least 300 digits
+INTS = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
 LEAVES = st.one_of(
+    st.tuples(INTS, INTS),   # an int pair, which both renderers write inline
     st.booleans(),
     st.none(),
-    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    INTS,
     st.integers(min_value=LONG, max_value=10 ** 400),
     st.integers(min_value=-10 ** 400, max_value=-LONG),
     st.fractions(),
@@ -153,13 +155,39 @@ REPORTS = st.dictionaries(KEYS, st.recursive(
     max_leaves=20), max_size=5)
 
 
+@contextlib.contextmanager
+def no_digit_cap():
+    """The references print ints past the digit cap too."""
+    limit = digit_limit()
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
+    try:
+        yield
+    finally:
+        getattr(sys, "set_int_max_str_digits", lambda _: None)(limit)
+
+
+# int pairs inside dicts, lists and nested tuples, and tuples that are not
+# int pairs: a bool, a Fraction, ints past the digit cap, one and three ints
+PAIRS = {"slopes": ((160, 1), (-88, 0)), "d": {"class at u": (1, -1), "n": {"p": (0, -7)}},
+         "l": [(2, 3), [(4, 5)], ((6, 7), ((8, 9), 10))],
+         "curves": [{"u": "a", "class at u": (1, -2), "components": 1}, (3, 4)]}
+NOT_PAIRS = {"bool": (True, 1), "in a tuple": ((1, False), (None, 2)),
+             "fraction": (1, Fraction(1, 2)), "huge": (HUGE, -HUGE), "one": (5,),
+             "three": (1, 2, 3), "list": [1, 2],
+             "nested": [((Fraction(3), 4),), {"k": (1, 2, 3)}, (5,)]}
+
+
 class TestRenderJsonOracle:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(REPORTS)
     @example({})
     @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": {}}})
+    @example(PAIRS)
+    @example(NOT_PAIRS)
     def test_matches_the_standard_encoder(self, data):
-        assert render_json(data) == json.dumps(reference_json(data), indent=2) + "\n"
+        with no_digit_cap():
+            expected = json.dumps(reference_json(data), indent=2) + "\n"
+        assert render_json(data) == expected
 
 
 class TestRenderText:
@@ -266,5 +294,9 @@ class TestRenderTextOracle:
     @example({"x": [[{"a": 1}]], "y": [1, [{"a": 1}]], "z": ((True, (False, None)), [])})
     @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": {}}})
     @example({"t": ((LONG, -LONG), [True, (Fraction(1, 3), "s")]), "d": [[[{"k": [{}]}]]]})
+    @example(PAIRS)
+    @example(NOT_PAIRS)
     def test_matches_the_documented_layout(self, data):
-        assert render_text(data) == reference_text(data)
+        with no_digit_cap():
+            expected = reference_text(data)
+        assert render_text(data) == expected
