@@ -44,18 +44,12 @@ _B1_NOTE = ("b1 = 0 is assumed, not computed; it holds when the embedding of the
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit with code 64 and show at
-    most 20 characters of an argument they quote."""
+    """ArgumentParser whose usage failures exit with code 64 and whose
+    invalid-choice lines show at most 20 characters of the argument."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-    def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error("unrecognized arguments: " + _shown(" ".join(extra), quoted=False))
-        return args
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -371,10 +365,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     try:
-        # the subcommand's own errors and help; leftovers need the full parser
-        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
-        if args is None or extra:
-            args = parser.parse_args(argv)
+        # the named subcommand's parser gives its own errors and help
+        args, extra = (command.parse_known_args(argv[1:]) if command
+                       else parser.parse_known_args(argv))
+        if extra:
+            parser.error("unrecognized arguments: " + _shown(" ".join(extra), quoted=False))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
     try:

@@ -8,7 +8,7 @@ curve does not meet itself in this configuration model.  A
 `PlumbingGraph` that exists is valid: its constructor checks all of
 this and keeps the factorization it checked definiteness with.  The
 parser checks a file by the constructor's own rules and messages: a plain
-file all at once, any other line by line (see `parse_graph`).
+file (below) all at once, any other line by line (see `parse_graph`).
 
 Text format (UTF-8, line oriented)::
 
@@ -23,14 +23,15 @@ significant: it fixes the order of every vector indexed by vertices and
 of every report.  It does not fix the order in which the intersection
 matrix is factored: the constructor eliminates by minimum degree,
 whatever the file's order.  The canonical serializer emits vertices in
-declaration order followed by edges sorted lexicographically.
+declaration order followed by edges sorted lexicographically.  Its files
+are plain: once a final LF is added if missing, a plain file is one match
+of `(vertex <id> e=-?[0-9]+ g=[0-9]+\n)+(edge <id> <id>\n)*`.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError, _iterable, _read_int, _shown
@@ -38,6 +39,11 @@ from .rational import Elimination, eliminate_by_degree
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
+_VERTEX_LINE_RE = re.compile(r"vertex ([A-Za-z0-9_]+) e=(-?[0-9]+) g=([0-9]+)\n")
+_EDGE_LINE_RE = re.compile(r"edge ([A-Za-z0-9_]+) ([A-Za-z0-9_]+)\n")
+# a plain file: vertex lines, then edge lines; a match that captures nothing is faster
+_PLAIN_RE = re.compile("(?:{})+(?:{})*".format(
+    *(line.pattern.replace("(", "(?:") for line in (_VERTEX_LINE_RE, _EDGE_LINE_RE))))
 
 
 class Vertex(NamedTuple):
@@ -176,8 +182,9 @@ class _Declarations:
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format.
 
-    A plain file (see `_read_plain`) is read in one bulk pass; any other
-    file, and any plain file that breaks a rule, is read line by line,
+    A plain file, one match of `(vertex <id> e=-?[0-9]+ g=[0-9]+\n)+(edge
+    <id> <id>\n)*` once a missing final LF is added, is read in bulk; any
+    other file, and any plain file that breaks a rule, is read line by line,
     where each line passes the constructor's rules as it is read and the
     first faulty line raises ParseError with its number.  The graph is
     then derived once.  A graph that parses but is disconnected or not
@@ -189,56 +196,34 @@ def parse_graph(text: str) -> PlumbingGraph:
 
 
 def _read_plain(text: str) -> _Declarations | None:
-    """The declarations of a plain file that keeps every rule, read from all
-    its words at once, or None: the line loop then reads the file.  In a
-    plain file there is no '#' and no CR, and every line that is not empty
-    starts with "vertex " or, after the last of those, with "edge "."""
-    if "#" in text or "\r" in text:
+    """The declarations of a plain file that keeps every rule, read from one
+    `_PLAIN_RE` match and a `findall` per line pattern, or None: the line
+    loop then reads the file."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not _PLAIN_RE.fullmatch(text):
         return None
-    words, lines, starts = text.split(), text.split("\n"), "\n" + text
-    nv, ne = starts.count("\nvertex "), starts.count("\nedge ")
-    mid = 4 * nv
-    if (not nv or len(lines) - lines.count("") != nv + ne or len(words) != mid + 3 * ne
-            or words[:mid:4] != ["vertex"] * nv or words[mid::3] != ["edge"] * ne):
-        return None
-    ids, us, ws = words[1:mid:4], words[mid + 1::3], words[mid + 2::3]
+    vertices, edges = _VERTEX_LINE_RE.findall(text), _EDGE_LINE_RE.findall(text)
     declared = _Declarations()
-    index = declared.index = dict(zip(ids, range(nv)))
-    # No id is a directive and every endpoint is an id, so directives stand
-    # only where the declarations' do, and the lines that start with them
-    # are all the lines: each holds one declaration.
-    if (len(index) < nv or "vertex" in index or "edge" in index
-            or not _ID_RE.match("".join(ids)) or any(map(str.__eq__, us, ws))):
-        return None
+    index = declared.index = {vid: i for i, (vid, _, _) in enumerate(vertices)}
     try:
-        euler, genus = _keyed_ints(words[2:mid:4], "e="), _keyed_ints(words[3:mid:4], "g=")
-        ii, jj = [*map(index.__getitem__, us)], [*map(index.__getitem__, ws)]
-    except (ValueError, KeyError):
+        declared.vertices = [tuple.__new__(Vertex, (vid, int(e), int(g)))
+                             for vid, e, g in vertices]
+        # a loop drops out of the pair set and a repeated edge merges in it
+        declared.pairs = {(i, j) if i < j else (j, i)
+                          for u, w in edges for i, j in [(index[u], index[w])] if i != j}
+    except (KeyError, ValueError):   # an unknown endpoint, an int past the digit cap
         return None
-    declared.pairs = {(i, j) if i < j else (j, i) for i, j in zip(ii, jj)}
-    if min(genus) < 0 or len(declared.pairs) < ne:
+    if len(index) < len(vertices) or len(declared.pairs) < len(edges):
         return None
-    declared.vertices = [*map(tuple.__new__, repeat(Vertex), zip(ids, euler, genus))]
     return declared
-
-
-def _keyed_ints(fields: list[str], prefix: str) -> list[int]:
-    """The ints after `prefix` in fields that all start with it, or a
-    ValueError.  Split at "," + prefix, the fields joined by commas come
-    apart at every join and nowhere else, as no int holds a comma."""
-    pieces = ("," + ",".join(fields)).split("," + prefix)
-    if len(pieces) != len(fields) + 1 or pieces[0]:
-        raise ValueError
-    return [*map(int, pieces[1:])]
 
 
 def _read_lines(text: str) -> _Declarations:
     """The declarations of any file, one line at a time."""
     declared = _Declarations()
     name, vertex, edge = declared.name, declared.vertex, declared.edge
-    lines = _LINE_END_RE.split(text) if "\r" in text else text.split("\n")
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
             fields = raw.partition("#")[0].split()
             if not fields:
                 continue
@@ -248,14 +233,7 @@ def _read_lines(text: str) -> _Declarations:
                     raise ValidationError("expected 'vertex <id> e=<int> g=<uint>'")
                 vid, e, g = fields[1:]
                 name(vid)
-                try:
-                    euler, genus = int(e[2:]), int(g[2:])
-                except ValueError:
-                    euler = None
-                if euler is None or e[:2] != "e=" or g[:2] != "g=":
-                    _keyed_int(e, "e=")   # raises, in the words of the field at fault
-                    _keyed_int(g, "g=")
-                vertex(Vertex(vid, euler, genus))
+                vertex(Vertex(vid, _keyed_int(e, "e="), _keyed_int(g, "g=")))
             elif directive == "edge":
                 if len(fields) != 3:
                     raise ValidationError("expected 'edge <id> <id>'")

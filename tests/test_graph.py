@@ -340,8 +340,7 @@ FIELD_TOKENS = WEIGHT_TOKENS + ["vertex", "edge", "e=-2", "g=0", "e=x", "x=-2", 
 def graph_texts(draw):
     """(text, plain): a valid graph file in any declaration order and
     layout, or the same file with one mutation; `plain` when the file
-    is an unmutated one of the kind the bulk pass reads (no id there is
-    a directive)."""
+    is an unmutated one of the kind the bulk pass reads."""
     n = draw(st.integers(1, 6))
     ids = draw(st.lists(st.sampled_from(["a", "b", "c1", "D_2", "vertex", "edge", "x" * 25])
                         | st.text("abcXYZ019_", min_size=1, max_size=3),
@@ -397,7 +396,19 @@ def graph_texts(draw):
                                                              " #vertex q e=-2 g=0"]))
     end = draw(st.sampled_from(["\r\n", "\r"])) if kind == "line ends" else "\n"
     text = end.join(lines) + draw(st.sampled_from([end, ""]))
-    return text, plain and vertices_first and kind == "none" and not {"vertex", "edge"} & set(ids)
+    return text, plain and vertices_first and kind == "none"
+
+
+# plain files with an int past int()'s digit cap, which the bulk pass leaves
+# to the line loop to name
+PAST_CAP = [f"vertex a e=-{'9' * (DIGIT_LIMIT + 1)} g=0\n",
+            f"vertex a e=-2 g={'9' * (DIGIT_LIMIT + 1)}\n"]
+# near-rule texts the bulk pass reads: plain files that keep every rule, and
+# the ones above where int() has no digit cap
+BULK_READ = ["vertex a e=-2 g=0\nvertex b e=-2 g=0\nedge b a",
+             "vertex edge e=-2 g=0\nvertex vertex e=-3 g=1\nedge vertex edge\n",
+             "vertex vertex e=-2 g=0\nvertex b e=-2 g=0\nedge vertex b\n",
+             *PAST_CAP * (not getattr(sys, "get_int_max_str_digits", lambda: 0)())]
 
 
 def outcome(read, text):
@@ -443,9 +454,20 @@ class TestBulkPass:
         "vertex a e=-2 g=0\n\n\nvertex b e=-2 g=0\nedge b a\n\n",
         "vertex a e=-2 g=0\nedge a b\nvertex b e=-2 g=0\n",
         "vertex a e=-2 g=0\n \nvertex b e=-2 g=0\nedge a b\n",
+        *BULK_READ[:2],   # no final LF; ids that are directives
+        *PAST_CAP,
+        "vertex a e=-2 g=0\n\nvertex b e=-2 g=0\nedge a b\n",
+        "vertex a e=-2 g=0 \nvertex b e=-2 g=0\nedge a b\n",
+        "vertex a e=-2 g=0\nvertex b e=-2 g=0\nedge a b \n",
+        "vertex a e=+5 g=0\n",
+        "vertex a e=-2 g=1_0\n",
+        "vertex a e=-\u0663 g=0\n",
+        "vertex a e=-2 g=\u0661\n",
     ])
     def test_texts_near_the_bulk_pass_rules(self, text):
+        declared = graph_module._read_plain(text)   # raises nothing, whatever the text
         assert outcome(parse_graph, text) == outcome(read_lines, text)
+        assert (declared is not None) == (text in BULK_READ)
 
     def test_a_plain_file_takes_the_bulk_pass(self, fixed_corpus):
         for graph in fixed_corpus.values():
