@@ -35,6 +35,7 @@ from .report import render_json, render_text
 from .surgery import surgery_characteristics
 
 _USAGE_EXIT = 64
+_LEFTOVER = "unrecognized arguments: "   # argparse's words, cut by _Parser.error
 
 _PAGE_EULER_NOTE = ("derived by this tool from the multiplicities "
                     "(weighted cover count), not an input value")
@@ -45,9 +46,12 @@ _B1_NOTE = ("b1 = 0 is assumed, not computed; it holds when the embedding of the
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with code 64 and whose
-    invalid-choice lines show at most 20 characters of the argument."""
+    unrecognized-arguments and invalid-choice lines show at most 20
+    characters of the arguments."""
 
     def error(self, message):
+        if message.startswith(_LEFTOVER):
+            message = _LEFTOVER + _shown(message[len(_LEFTOVER):], quoted=False)
         self.print_usage(sys.stderr)
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
@@ -369,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args, extra = (command.parse_known_args(argv[1:]) if command
                        else parser.parse_known_args(argv))
         if extra:
-            parser.error("unrecognized arguments: " + _shown(" ".join(extra), quoted=False))
+            parser.error(_LEFTOVER + " ".join(extra))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
     try:

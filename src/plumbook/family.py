@@ -21,7 +21,7 @@ genus of the Milnor fiber are tied together by
 
 from which p_g is back-solved; integrality of both divisions is a hard
 consistency requirement, not a rounding step.  For the specialization
-s = 3, t = 30N - 33 both mu and sigma are quartic polynomials in N and
+s = 3, t = 30N - 33 mu and 3 sigma are integer quartics in N, and
 `closed_form_check` evaluates them exactly as a cross-check.
 """
 
@@ -167,8 +167,8 @@ def closed_form_check(N: int) -> ClosedFormValues:
     """Quartic closed forms for mu and sigma at s = 3, t = 30N - 33.
 
     Valid for N >= 3 with N-1 not divisible by 3 (otherwise the family
-    constraints fail); sigma's quartic has thirds in its coefficients
-    and is required to come out integral, never rounded.
+    constraints fail); sigma is an integer quartic over 3, required to
+    divide exactly, never rounded.
     """
     if type(N) is not int:
         raise ValidationError(f"N must be an integer, got {_shown(N)}")
@@ -179,8 +179,7 @@ def closed_form_check(N: int) -> ClosedFormValues:
             f"N-1 = {_shown(N - 1)} is divisible by 3; "
             f"gcd(N-1, t) = 1 fails at t = {_shown(default_t(N))}")
     mu = 900 * N**4 - 3810 * N**3 + 5292 * N**2 - 2705 * N + 322
-    sigma = (-300 * N**4 + 960 * N**3
-             - Fraction(2348, 3) * N**2 + Fraction(379, 3) * N - 2)
+    sigma = Fraction(-900 * N**4 + 2880 * N**3 - 2348 * N**2 + 379 * N - 6, 3)
     if sigma.denominator != 1:
         raise ConsistencyError(
             f"closed-form signature {_shown(sigma)} is not integral at N={_shown(N)}")

@@ -3,48 +3,40 @@
 Reports are plain dicts built by the CLI in a fixed key order, with str
 keys; both renderers raise TypeError on any other key.  Two output
 formats: JSON (machine) and an indented key/value text (human).  Both
-are byte-deterministic for identical inputs.  Rationals render as "p/q"
-with positive denominator, collapsed to "p" when integral; bools render
-as yes/no in the text format.
+are byte-deterministic for identical inputs.  Rationals render as str()
+writes a Fraction, "p/q" with positive denominator, collapsed to "p"
+when integral; bools render as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
 write int and str leaves, and tuples of exactly two ints, in the
 comprehension that joins their container.  The JSON is byte for byte
 `json.dumps(indent=2)` of the same tree with Fractions as "p/q" strings
-and tuples as lists.  The walk
-lifts Python's cap on int-to-str digits (3.10.7 on) and restores it
-after, so ints of any size print.
+and tuples as lists.  The walk lifts Python's cap on int-to-str digits
+(3.10.7 on) and restores it after, so ints of any size print.
 
-The text layout, one level being two spaces:
+The text layout, one level being two spaces, is made of blocks of
+items, each item under a head: "key:" for a dict's items, "-" for the
+items of a sequence that holds a dict at any depth.
 
-- a scalar, or a sequence that holds no dict at any depth, is one
-  line, "key: value", the sequence inline as "(a, b, (c, d))";
-- a dict is a "key:" line with its items one level deeper;
-- a sequence that holds a dict at any depth is a "key:" line with one
-  "-" line per item one level deeper.  A scalar or an inline sequence
-  follows its "-" on the same line.  After a bare "-" come, one level
-  deeper, a dict's items or the "-" lines of a nested sequence that
-  holds a dict.
+- a scalar, or a sequence that holds no dict at any depth, follows its
+  head on the same line, "key: value" or "- value", the sequence inline
+  as "(a, b, (c, d))";
+- a dict, or a sequence that holds a dict, is its head alone on a line,
+  "key:" or "-", with its items as a block one level deeper.
 
 A sequence is first written inline, and laid out as a block only when a
-dict turns up in it.
+dict turns up in it.  One writer, `_render_block`, writes every block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import _uncapped
 
 _INDENT = "  "
 _json_str = None   # json.encoder's string quoting, imported by the first render_json
-
-
-def _rational_str(frac: Fraction) -> str:
-    """Canonical "p/q" rendering, "p" when the denominator is 1."""
-    if frac.denominator == 1:
-        return f"{frac.numerator}"
-    return f"{frac.numerator}/{frac.denominator}"
 
 
 def _json(value, pad: str) -> str:
@@ -82,7 +74,7 @@ def _json(value, pad: str) -> str:
     if kind is bool:
         return "true" if value else "false"
     if kind is Fraction:
-        return f'"{_rational_str(value)}"'
+        return f'"{value!s}"'
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
@@ -115,7 +107,7 @@ def _inline(value) -> str:
     if kind is bool:
         return "yes" if value else "no"
     if kind is Fraction:
-        return _rational_str(value)
+        return str(value)
     if value is None:
         return "None"
     if kind is dict:
@@ -123,44 +115,30 @@ def _inline(value) -> str:
     raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
-def _render_block(data: dict, pad: str, lines: list) -> None:
+def _render_block(items, pad: str, lines: list, colon: str = ":") -> None:
+    """The lines of a block's (head, value) items; a "-" head takes `colon` ""."""
     inner = pad + _INDENT
-    for key, value in data.items():
+    for key, value in items:
         if type(key) is not str:
             raise TypeError(f"report keys must be str, not {type(key).__name__}")
         kind = type(value)
         if kind is int or kind is str:
-            lines.append(f"{pad}{key}: {value}")
+            lines.append(f"{pad}{key}{colon} {value}")
         elif kind is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
-            lines.append(f"{pad}{key}: ({value[0]}, {value[1]})")
+            lines.append(f"{pad}{key}{colon} ({value[0]}, {value[1]})")
         elif kind is dict:
-            lines.append(f"{pad}{key}:")
-            _render_block(value, inner, lines)
+            lines.append(f"{pad}{key}{colon}")
+            _render_block(value.items(), inner, lines)
         else:
             try:
-                lines.append(f"{pad}{key}: {_inline(value)}")
+                lines.append(f"{pad}{key}{colon} {_inline(value)}")
             except _DictInside:
-                lines.append(f"{pad}{key}:")
-                _render_items(value, inner, lines)
-
-
-def _render_items(items, pad: str, lines: list) -> None:
-    """The "-" lines of a sequence that holds a dict."""
-    inner = pad + _INDENT
-    for item in items:
-        if type(item) is dict:
-            lines.append(f"{pad}-")
-            _render_block(item, inner, lines)
-        else:
-            try:
-                lines.append(f"{pad}- {_inline(item)}")
-            except _DictInside:
-                lines.append(f"{pad}-")
-                _render_items(item, inner, lines)
+                lines.append(f"{pad}{key}{colon}")
+                _render_block(zip(repeat("-"), value), inner, lines, "")
 
 
 def render_text(data: dict) -> str:
     """Indented "key: value" listing with a trailing newline."""
     lines: list = []
-    _uncapped(_render_block, data, "", lines)
+    _uncapped(_render_block, data.items(), "", lines)
     return "\n".join(lines) + "\n"

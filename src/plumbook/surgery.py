@@ -57,7 +57,7 @@ def surgery_characteristics(
     sigma = sigma + graph.m + invariants.sigma
     c1_squared = 2 * chi + 3 * sigma
     chi_h = Fraction(chi + sigma, 4)
-    bmy_defect = 9 * chi_h - c1_squared
+    bmy_defect = Fraction(9 * (chi + sigma) - 4 * c1_squared, 4)
     return SurgeryReport(
         chi=chi,
         sigma=sigma,

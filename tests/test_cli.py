@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import plumbook
 from plumbook.cli import build_parser, main
 
-from .conftest import intersection_rows, is_feasible
+from .conftest import feasibility_thresholds, intersection_rows, is_feasible
+from .test_elimination import bareiss_determinant
 from .test_golden import CASES, GOLDEN
 
 N3_TEXT = """\
@@ -860,12 +862,113 @@ def test_a_mutated_argv_is_one_error_line_or_the_usage(case):
         assert len(err.encode()) < 400, err[:500]
 
 
+@st.composite
+def valid_graphs(draw):
+    """(file bytes, Euler numbers, genera, edges as index pairs i < j) of
+    a random tree on at most 12 vertices plus up to m/5 extra edges,
+    declared in random order with every edge after its endpoints, g in
+    {0, 1, 2} and e = -(deg + 1 + s) with s >= 0 of up to a few thousand
+    digits, so the graph is strictly diagonally dominant and negative
+    definite."""
+    m = draw(st.integers(1, 12))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    for _ in range(draw(st.integers(0, m // 5))):
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        pairs.add((min(i, j), max(i, j)))
+    degree = [0] * m
+    for i, j in pairs:
+        degree[i] += 1
+        degree[j] += 1
+    extra = st.one_of(st.integers(0, 20),
+                      st.integers(1, 3000).flatmap(lambda k: st.integers(0, 10 ** k)))
+    euler = [-(degree[v] + 1 + draw(extra)) for v in range(m)]
+    genus = [draw(st.integers(0, 2)) for _ in range(m)]
+    vertex_lines = [f"vertex v{v} e={euler[v]} g={genus[v]}" for v in range(m)]
+    lines = [vertex_lines[v] for v in draw(st.permutations(range(m)))]
+    for i, j in sorted(pairs):
+        after = 1 + max(lines.index(vertex_lines[i]), lines.index(vertex_lines[j]))
+        i, j = (i, j) if draw(st.booleans()) else (j, i)
+        lines.insert(draw(st.integers(after, len(lines))), f"edge v{i} v{j}")
+    return ("\n".join(lines) + "\n").encode(), euler, genus, sorted(pairs)
+
+
+def plain_graph(report: dict, euler, genus, pairs):
+    """The graph in the report's vertex order, as conftest's oracles read it."""
+    at = {vid: k for k, vid in enumerate(report["vertices"])}
+    assert sorted(at) == sorted(f"v{v}" for v in range(len(euler)))
+    order = [int(vid[1:]) for vid in report["vertices"]]
+    return SimpleNamespace(
+        m=len(order),
+        vertices=[SimpleNamespace(euler=euler[v], genus=genus[v]) for v in order],
+        edges=[(at[f"v{i}"], at[f"v{j}"]) for i, j in pairs])
+
+
+# every subcommand on a valid graph exits 0, and its JSON report passes
+# integer row sums computed here (ROADMAP, Direction 7)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_graphs(), st.data())
+def test_every_report_of_a_valid_graph_passes_its_row_sums(case, draws):
+    data, euler, genus, pairs = case
+    m = len(euler)
+    binding = draws.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    given_n = ",".join(f"v{v}={n}" for v, n in enumerate(binding))
+    reports = {}
+    for name, argv in [("check", ["check"]), ("canonical", ["canonical"]),
+                       ("divisor", ["divisor"]), ("openbook", ["openbook"]),
+                       ("openbook --n", ["openbook", "--n", given_n])]:
+        code, out, err = run_on_stdin([*argv, "-i", "-", "--json"], data)
+        assert (code, err) == (0, ""), (name, err[:300])
+        with digits_unlimited():
+            reports[name] = json.loads(out)
+    with digits_unlimited():
+        check = reports["check"]
+        graph = plain_graph(check, euler, genus, pairs)
+        rows = [[0] * m for _ in range(m)]
+        for k, vertex in enumerate(graph.vertices):
+            rows[k][k] = vertex.euler
+        for i, j in graph.edges:
+            rows[i][j] = rows[j][i] = 1
+        assert Fraction(check["determinant"]) == bareiss_determinant(rows)
+
+        canonical = reports["canonical"]
+        graph = plain_graph(canonical, euler, genus, pairs)
+        rhs = [2 * v.genus - 2 - v.euler for v in graph.vertices]
+        assert canonical["adjunction rhs"] == rhs
+        r = [Fraction(x) for x in canonical["coefficients"]]
+        k = math.lcm(*(x.denominator for x in r))
+        assert intersection_rows(graph, [int(k * x) for x in r]) == [k * b for b in rhs]
+        assert Fraction(canonical["k squared"]) == sum(x * b for x, b in zip(r, rhs))
+
+        divisor = reports["divisor"]
+        graph = plain_graph(divisor, euler, genus, pairs)
+        d, n = divisor["divisor"], divisor["binding"]
+        products = intersection_rows(graph, d)
+        thresholds = feasibility_thresholds(graph)
+        assert products == [-x for x in n] and min(n) >= 1
+        for v, (row, threshold) in enumerate(zip(products, thresholds)):
+            assert row <= threshold, v
+            assert d[v] == 1 or row - graph.vertices[v].euler > threshold, v
+        assert divisor["condition holds"] is True
+
+        for name in ("openbook", "openbook --n"):
+            book = reports[name]
+            graph = plain_graph(book, euler, genus, pairs)
+            n = book["binding"]
+            assert intersection_rows(graph, book["multiplicities"]) == [-book["k"] * x for x in n]
+        assert reports["openbook --n"]["binding"] == [binding[int(vid[1:])] for vid in
+                                                      reports["openbook --n"]["vertices"]]
+        assert reports["openbook"]["multiplicities"] == d
+
+
 # argv that end in argparse: usage errors (exit 64) and help (exit 0)
 PARSER_EXITS = [
     ["frobnicate"],
     [],
     ["check", "-i", str(GOLDEN / "a1.pg"), "--frobnicate"],
     ["check", "-i", str(GOLDEN / "a1.pg"), "extra"],
+    # argparse's own parse_args cuts a long leftover as main does
+    pytest.param(["check", "-i", str(GOLDEN / "a1.pg"), "x" * 5000],
+                 id="check -i a1.pg 5000-char-leftover"),
     ["check"],
     ["divisor", "-i"],
     ["family", "--N", "x"],
