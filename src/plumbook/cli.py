@@ -375,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if extra:
             parser.error(_LEFTOVER + " ".join(extra))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
+        return exc.code   # argparse exits with 64 (_Parser.error) or 0 (help)
     try:
         report = args.handler(args)
     except ConsistencyError as exc:

@@ -47,7 +47,9 @@ class FamilyParams(_FamilyFields):
 
     Constraints, checked on construction in this order (N first, since
     the CLI derives t from N): s, t and N are ints; N >= 3; s, t >= 1;
-    N-1 divides s+t; the two genus formulas produce integers; gcd(N-1, t) = 1.
+    N-1 divides s+t; the first genus is an integer; gcd(N-1, t) = 1.  The
+    second genus is then one too: N-2 is even, or N-1 is, so s+t is even
+    and t is odd as s is.
     """
     __slots__ = ()
 
@@ -65,10 +67,6 @@ class FamilyParams(_FamilyFields):
             raise ValidationError(
                 f"(s-1)(N-2) = {_shown((s - 1) * (N - 2))} must be even "
                 "for the first genus to be an integer")
-        if (t - 1) * (N - 2) % 2 != 0:
-            raise ValidationError(
-                f"(t-1)(N-2) = {_shown((t - 1) * (N - 2))} must be even "
-                "for the second genus to be an integer")
         g = gcd(N - 1, t)
         if g != 1:
             raise ValidationError(f"gcd(N-1, t) = {_shown(g)}, expected 1")
@@ -115,7 +113,7 @@ def surface_mu(params: FamilyParams) -> int:
 def family_resolution_graph(params: FamilyParams) -> PlumbingGraph:
     """Two-vertex resolution graph: A (e=-N) and B (e=-1) meeting once.
 
-    FamilyParams has already checked that both genera are integers.
+    FamilyParams checks the first genus; the second follows as N-1 divides s+t.
     """
     genus_a = (params.s - 1) * (params.N - 2) // 2
     genus_b = (params.t - 1) * (params.N - 2) // 2
@@ -167,8 +165,8 @@ def closed_form_check(N: int) -> ClosedFormValues:
     """Quartic closed forms for mu and sigma at s = 3, t = 30N - 33.
 
     Valid for N >= 3 with N-1 not divisible by 3 (otherwise the family
-    constraints fail); sigma is an integer quartic over 3, required to
-    divide exactly, never rounded.
+    constraints fail); sigma is an integer quartic over 3.  Its numerator
+    is N(N+1) mod 3, which is 0 for every such N, so sigma is integral.
     """
     if type(N) is not int:
         raise ValidationError(f"N must be an integer, got {_shown(N)}")
@@ -180,7 +178,4 @@ def closed_form_check(N: int) -> ClosedFormValues:
             f"gcd(N-1, t) = 1 fails at t = {_shown(default_t(N))}")
     mu = 900 * N**4 - 3810 * N**3 + 5292 * N**2 - 2705 * N + 322
     sigma = Fraction(-900 * N**4 + 2880 * N**3 - 2348 * N**2 + 379 * N - 6, 3)
-    if sigma.denominator != 1:
-        raise ConsistencyError(
-            f"closed-form signature {_shown(sigma)} is not integral at N={_shown(N)}")
     return ClosedFormValues(mu=mu, sigma=sigma)

@@ -23,7 +23,8 @@ fail is the vertex relation
 
     M_v e_v + sum(M_u over neighbors u) = -b_v
 
-at every vertex, which `verify_gluing` checks.
+at every vertex, which `verify_gluing` checks.  It is I.M = -k.n, whose
+one solution is k.N > 0, so a description that passes it has M > 0.
 
 The minimal open book is the one of the least effective divisor with
 positive binding.  An effective divisor D = sum(d_i E_i), d_i >= 1,
@@ -168,10 +169,6 @@ def build_open_book(graph: PlumbingGraph,
         raise ValidationError(
             f"scale {_shown(scale)} is not a multiple of the minimal scale {_shown(least)}")
     multiplicities = tuple(scale * y // det for y in scaled)
-    if any(x <= 0 for x in multiplicities):
-        raise ConsistencyError(
-            "multiplicity solution has a nonpositive entry; "
-            "the graph cannot have been negative definite")
     return _checked(OpenBookDescription(graph=graph, scale=scale, binding=entries,
                                         multiplicities=multiplicities))
 

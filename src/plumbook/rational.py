@@ -109,7 +109,7 @@ def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination | None:
             s = row_updated.get(j, 0)
             if s != k:
                 row[j] = b_vj * d_k // minors[s]
-        pivot = row.pop(v, 0)
+        pivot = row.pop(v)    # no step deletes a row's own diagonal
         if d_k * pivot >= 0:
             return None
         minors.append(pivot)

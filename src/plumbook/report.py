@@ -1,11 +1,11 @@
 """Deterministic rendering of report dictionaries.
 
-Reports are plain dicts built by the CLI in a fixed key order, with str
-keys; both renderers raise TypeError on any other key.  Two output
-formats: JSON (machine) and an indented key/value text (human).  Both
-are byte-deterministic for identical inputs.  Rationals render as str()
-writes a Fraction, "p/q" with positive denominator, collapsed to "p"
-when integral; bools render as yes/no in the text format.
+A report is a dict with str keys, built by the CLI in a fixed key order;
+both renderers raise TypeError, naming the type, on any other report or
+key.  Two formats: JSON (machine) and an indented key/value text
+(human), both byte-deterministic for identical inputs.  Rationals render
+as str() writes a Fraction, "p/q" with positive denominator, collapsed
+to "p" when integral; bools render as yes/no in the text format.
 
 Both walk the report once, dispatching on each value's exact type, and
 write int and str leaves, and tuples of exactly two ints, in the
@@ -67,10 +67,6 @@ def _json(value, pad: str) -> str:
                  for key, item in value.items()]
         sep = ",\n" + inner
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if kind is str:
-        return _json_str(value)
-    if kind is int:
-        return f"{value}"
     if kind is bool:
         return "true" if value else "false"
     if kind is Fraction:
@@ -83,6 +79,8 @@ def _json(value, pad: str) -> str:
 def render_json(data: dict) -> str:
     """JSON with two-space indent, keys in insertion order, trailing newline."""
     global _json_str
+    if type(data) is not dict:
+        raise TypeError(f"a report is a dict, not {type(data).__name__}")
     if _json_str is None:
         from json.encoder import encode_basestring_ascii as _json_str
     return _uncapped(_json, data, "") + "\n"
@@ -100,10 +98,6 @@ def _inline(value) -> str:
                                 else f"({item[0]}, {item[1]})" if leaf is tuple
                                 and len(item) == 2 and type(item[0]) is type(item[1]) is int
                                 else _inline(item) for item in value]) + ")"
-    if kind is str:
-        return value
-    if kind is int:
-        return f"{value}"
     if kind is bool:
         return "yes" if value else "no"
     if kind is Fraction:
@@ -139,6 +133,8 @@ def _render_block(items, pad: str, lines: list, colon: str = ":") -> None:
 
 def render_text(data: dict) -> str:
     """Indented "key: value" listing with a trailing newline."""
+    if type(data) is not dict:
+        raise TypeError(f"a report is a dict, not {type(data).__name__}")
     lines: list = []
     _uncapped(_render_block, data.items(), "", lines)
     return "\n".join(lines) + "\n"

@@ -216,6 +216,23 @@ class TestOpenbook:
         code, out, err = run(capsys, "openbook", "-i", str(path), "--n", entry)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_empty_binding_entries_are_skipped(self, capsys):
+        family = str(GOLDEN / "family_n3.pg")
+        code, out, err = run(capsys, "openbook", "-i", family, "--n", "A=3,B=57")
+        assert (code, err) == (0, "")
+        assert run(capsys, "openbook", "-i", family, "--n", "A=3,,B=57,") == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [["divisor"], ["openbook"], ["openbook", "--n", "A=1,B=2"]],
+                             ids=["divisor", "openbook", "openbook --n"])
+    def test_a_failed_gluing_check_is_exit_2(self, argv, capsys, monkeypatch):
+        # the gluing check holds on every graph, so a broken one stands in
+        # for a wrong solve or search
+        failure = "vertex A: multiplicity relation gives -1, expected -2"
+        monkeypatch.setattr(plumbook.openbook, "verify_gluing", lambda description: (failure,))
+        code, out, err = run(capsys, argv[0], "-i", str(GOLDEN / "family_n3.pg"), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: constructed description failed its own gluing check: {failure}\n"
+
     def test_full_binding_on_a_long_chain(self, capsys, tmp_path):
         # each entry is looked up in a set built once, not in the tuple of
         # ids, so reading a full --n is linear in the number of vertices
@@ -958,6 +975,57 @@ def test_every_report_of_a_valid_graph_passes_its_row_sums(case, draws):
         assert reports["openbook --n"]["binding"] == [binding[int(vid[1:])] for vid in
                                                       reports["openbook --n"]["vertices"]]
         assert reports["openbook"]["multiplicities"] == d
+
+
+def json_report(argv: list[str]) -> dict:
+    """The `--json` report of one command line that exits 0 with no error."""
+    code, out, err = run_on_stdin([*argv, "--json"], b"")
+    assert (code, err) == (0, ""), (argv[:2], err[:300])
+    with digits_unlimited():
+        return json.loads(out)
+
+
+GCD_FAILS = "gcd(N-1, t) = 3, expected 1"   # t = 30N - 33 = 30(N-1) - 3
+
+
+# family and surgery on valid argv, with N small or of up to 1,001 digits:
+# the guard on the closed forms' integrality and on the second genus
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(N=st.one_of(st.integers(3, 60),
+                   st.builds(lambda k, r: 10 ** k + r, st.integers(1, 1000), st.integers(-7, 7))),
+       chi=st.integers(-10 ** 6, 10 ** 6), sigma=st.integers(-10 ** 6, 10 ** 6),
+       width=st.integers(0, 11))
+def test_family_and_surgery_follow_the_quartics(N, chi, sigma, width):
+    surgery_argv = ["surgery", "--N", str(N), "--chi", str(chi), "--sigma", str(sigma)]
+    if (N - 1) % 3 == 0:
+        for argv in (["family", "--N", str(N), "--json"], surgery_argv):
+            assert run_on_stdin(argv, b"") == (1, "", f"error: {GCD_FAILS}\n")
+    else:
+        family = json_report(["family", "--N", str(N)])
+        mu, sigma_w = quartics(N)
+        assert sigma_w.denominator == 1 and type(family["sigma"]) is int
+        assert (family["mu"], family["sigma"]) == (mu, sigma_w)
+        g_a, g_b = N - 2, (15 * N - 17) * (N - 2)
+        assert family["genera"] == [g_a, g_b]
+        assert (family["m"], family["h"]) == (2, 2 * (g_a + g_b))
+        assert family["closed form match"] is True
+
+        surgery = json_report(surgery_argv)
+        total_chi = chi - (2 * (2 - g_a - g_b) - 1) + 1 + mu
+        total_sigma = sigma + 2 + sigma_w
+        assert (surgery["mu"], surgery["sigma of smoothing"]) == (mu, sigma_w)
+        assert (surgery["chi"], surgery["sigma"]) == (total_chi, total_sigma)
+        assert surgery["c1 squared"] == 2 * total_chi + 3 * total_sigma
+        assert Fraction(surgery["chi_h"]) == Fraction(total_chi + total_sigma, 4)
+
+    sweep = json_report(["family", "--sweep", f"{N}..{N + width}"])["sweep"]
+    assert [member["N"] for member in sweep] == list(range(N, N + width + 1))
+    for member in sweep:
+        n = member["N"]
+        if (n - 1) % 3 == 0:
+            assert member == {"N": n, "skipped": GCD_FAILS}
+        else:
+            assert member == json_report(["family", "--N", str(n)])
 
 
 # argv that end in argparse: usage errors (exit 64) and help (exit 0)

@@ -75,6 +75,15 @@ def test_both_renderers_reject_a_value_of_no_report_type(render, value, kind):
         render({"x": value})
 
 
+@pytest.mark.parametrize("data, kind", [
+    ("x", "str"), (5, "int"), ([1, 2], "list"), (None, "NoneType"),
+], ids=["str", "int", "list", "None"])
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_both_renderers_reject_a_report_that_is_no_dict(render, data, kind):
+    with pytest.raises(TypeError, match=f"^a report is a dict, not {kind}$"):
+        render(data)
+
+
 @pytest.mark.parametrize("data", [
     {True: 1}, {None: 1}, {1: 1}, {"a": {1: 2}}, {"x": [{"k": 1}, {2: 3}]},
 ], ids=["bool", "None", "int", "nested dict", "dict in a list"])
