@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -36,6 +37,7 @@ from .surgery import surgery_characteristics
 
 _USAGE_EXIT = 64
 _LEFTOVER = "unrecognized arguments: "   # argparse's words, cut by _Parser.error
+_VALUE = re.compile(r"(?!-).*|-[0-9]*", re.DOTALL)   # a value argparse never takes for an option
 
 _PAGE_EULER_NOTE = ("derived by this tool from the multiplicities "
                     "(weighted cover count), not an input value")
@@ -73,11 +75,44 @@ def _argv_int(text: str) -> int:
     return value
 
 
+def _plain_reader(actions: list[argparse.Action], handler):
+    """A reader of a subcommand's argv from the Actions its `add_argument` calls returned:
+    options as declared, each once, the required ones given, each value in `_VALUE` and
+    accepted by its type, read into the namespace `parse_known_args` would return.  For
+    any other argv it returns None, and argparse reads it, words its errors, prints help."""
+    options = {string: action for action in actions for string in action.option_strings}
+    required = {action.dest for action in actions if action.required}
+    defaults = {action.dest: action.default for action in actions} | {"handler": handler}
+
+    def read(argv: Sequence[str]) -> argparse.Namespace | None:
+        values = {}
+        tokens = iter(argv)
+        for token in tokens:
+            action = options.get(token)
+            if action is None or action.dest in values:
+                return None
+            if action.nargs == 0:   # --json
+                values[action.dest] = action.const
+                continue
+            value = next(tokens, None)
+            if value is None or not _VALUE.fullmatch(value):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except argparse.ArgumentTypeError:   # argparse words the error
+                    return None
+            values[action.dest] = value
+        return argparse.Namespace(**(defaults | values)) if required <= values.keys() else None
+
+    return read
+
+
 def _read_graph(path: str) -> PlumbingGraph:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:   # FileIO.readall, no buffer
             data = fh.read()
     try:
         text = data.decode("utf-8")
@@ -313,22 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="plumbook",
                      description="exact invariants of negative-definite plumbing graphs")
     subcommands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    actions: dict = {}   # subcommand parser -> the Actions add_argument returned
+
+    def option(sub: argparse.ArgumentParser, *names: str, **kwargs) -> None:
+        actions.setdefault(sub, []).append(sub.add_argument(*names, **kwargs))
 
     def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         sub = subcommands.add_parser(name, help=help_text, description=help_text)
         sub.set_defaults(handler=handler)
-        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        option(sub, "--json", action="store_true", help="emit JSON instead of text")
         return sub
 
     def add_input(sub: argparse.ArgumentParser, required: bool = True) -> None:
-        sub.add_argument("-i", "--input", required=required, metavar="PATH",
-                         help="graph file ('-' for standard input)")
+        option(sub, "-i", "--input", required=required, metavar="PATH",
+               help="graph file ('-' for standard input)")
 
     def add_family_params(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--s", type=_argv_int, default=3, help="first exponent (default 3)")
-        sub.add_argument("--t", type=_argv_int, default=None,
-                         help="second exponent (default 30N-33 when s=3)")
-        sub.add_argument("--N", type=_argv_int, default=None, help="suspension exponent")
+        option(sub, "--s", type=_argv_int, default=3, help="first exponent (default 3)")
+        option(sub, "--t", type=_argv_int, default=None,
+               help="second exponent (default 30N-33 when s=3)")
+        option(sub, "--N", type=_argv_int, default=None, help="suspension exponent")
 
     add_input(add("check", "validate a graph and print derived data", _run_check))
     add_input(add("canonical", "canonical cycle coefficients and K^2", _run_canonical))
@@ -338,29 +377,31 @@ def build_parser() -> argparse.ArgumentParser:
     openbook = add("openbook", "open-book description for a binding vector",
                    _run_openbook)
     add_input(openbook)
-    openbook.add_argument("--n", metavar="ID=INT,...", default=None,
-                          help="binding vector (default: from the minimal divisor)")
-    openbook.add_argument("--k", type=_argv_int, default=None,
-                          help="scale, a positive multiple of the minimal one")
+    option(openbook, "--n", metavar="ID=INT,...", default=None,
+           help="binding vector (default: from the minimal divisor)")
+    option(openbook, "--k", type=_argv_int, default=None,
+           help="scale, a positive multiple of the minimal one")
 
     family = add("family", "smoothing invariants of an (s, t, N) family member",
                  _run_family)
     add_family_params(family)
-    family.add_argument("--sweep", metavar="N1..N2", default=None,
-                        help="evaluate a whole range of N, skipping invalid members")
+    option(family, "--sweep", metavar="N1..N2", default=None,
+           help="evaluate a whole range of N, skipping invalid members")
 
     surgery = add("surgery", "characteristic numbers of the cut-and-paste manifold",
                   _run_surgery)
     add_input(surgery, required=False)
     add_family_params(surgery)
-    surgery.add_argument("--mu", type=_argv_int, default=None,
-                         help="Milnor number to pair with the -i graph")
-    surgery.add_argument("--chi", type=_argv_int, required=True,
-                         help="Euler characteristic of the ambient manifold")
-    surgery.add_argument("--sigma", type=_argv_int, required=True,
-                         help="signature of the ambient manifold")
+    option(surgery, "--mu", type=_argv_int, default=None,
+           help="Milnor number to pair with the -i graph")
+    option(surgery, "--chi", type=_argv_int, required=True,
+           help="Euler characteristic of the ambient manifold")
+    option(surgery, "--sigma", type=_argv_int, required=True,
+           help="signature of the ambient manifold")
 
     parser.commands = subcommands.choices    # subcommand name -> its parser
+    for sub in parser.commands.values():
+        sub.read_plain = _plain_reader(actions[sub], sub.get_default("handler"))
     return parser
 
 
@@ -368,14 +409,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        # the named subcommand's parser gives its own errors and help
-        args, extra = (command.parse_known_args(argv[1:]) if command
-                       else parser.parse_known_args(argv))
-        if extra:
-            parser.error(_LEFTOVER + " ".join(extra))
-    except SystemExit as exc:
-        return exc.code   # argparse exits with 64 (_Parser.error) or 0 (help)
+    args = command.read_plain(argv[1:]) if command else None
+    if args is None:
+        try:
+            # the named subcommand's parser gives its own errors and help
+            args, extra = (command.parse_known_args(argv[1:]) if command
+                           else parser.parse_known_args(argv))
+            if extra:
+                parser.error(_LEFTOVER + " ".join(extra))
+        except SystemExit as exc:
+            return exc.code   # argparse exits with 64 (_Parser.error) or 0 (help)
     try:
         report = args.handler(args)
     except ConsistencyError as exc:
