@@ -44,6 +44,7 @@ _EDGE_LINE_RE = re.compile(r"edge ([A-Za-z0-9_]+) ([A-Za-z0-9_]+)\n")
 # a plain file: vertex lines, then edge lines; a match that captures nothing is faster
 _PLAIN_RE = re.compile("(?:{})+(?:{})*".format(
     *(line.pattern.replace("(", "(?:") for line in (_VERTEX_LINE_RE, _EDGE_LINE_RE))))
+_EDGE = (1, 0)   # the cell (entry, step written) of an edge, shared by every row
 
 
 class Vertex(NamedTuple):
@@ -58,9 +59,11 @@ class PlumbingGraph:
     The constructor checks the structure, then connectivity, then
     negative definiteness by one symmetric elimination of the
     intersection matrix in minimum-degree order, and raises
-    ValidationError on the first failure.  A definiteness failure names
-    the vertex that closes the first leading block, in declaration order,
-    that is not negative definite (another order can stop elsewhere).
+    ValidationError on the first failure.  Connectivity is read off the
+    factors, and the graph is walked only when the elimination stops
+    early.  A definiteness failure names the vertex that closes the first
+    leading block, in declaration order, that is not negative definite
+    (another order can stop elsewhere).
     Euler numbers and genera must be ints (a bool or a float is
     rejected).  Euler numbers are not sign-checked on their own: a
     nonnegative e_v always surfaces as a definiteness failure.
@@ -103,16 +106,18 @@ class PlumbingGraph:
         self.ids: tuple[str, ...] = tuple(declared.index)
         self.m = len(verts)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(declared.pairs))
-        rows: list[dict[int, int]] = [{} for _ in verts]   # the intersection matrix
+        rows: list[dict[int, tuple[int, int]]] = [{} for _ in verts]   # I's cells
         for i, j in self.edges:    # sorted, so each row's neighbours come out ascending
-            rows[i][j] = rows[j][i] = 1
+            rows[i][j] = rows[j][i] = _EDGE
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.degrees: tuple[int, ...] = tuple(map(len, rows))
-        if not _is_connected(self.adjacency):
-            raise ValidationError("graph is disconnected")
         for v, (_, euler, _) in enumerate(verts):
-            rows[v][v] = euler
+            rows[v][v] = (euler, 0)
         factors = eliminate_by_degree(rows)
+        connected = (_is_connected(self.adjacency) if factors is None   # see `plumbook.rational`
+                     else all(factors._columns[:-1]))
+        if not connected:
+            raise ValidationError("graph is disconnected")
         if factors is None:
             # every leading block of a negative definite matrix is one: bisect
             failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: _factor_leading(
@@ -223,7 +228,8 @@ def _read_lines(text: str) -> _Declarations:
     declared = _Declarations()
     name, vertex, edge = declared.name, declared.vertex, declared.edge
     try:
-        for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
+        lines = _LINE_END_RE.split(text) if "\r" in text else text.split("\n")
+        for lineno, raw in enumerate(lines, start=1):
             fields = raw.partition("#")[0].split()
             if not fields:
                 continue
@@ -273,8 +279,8 @@ def _factor_leading(verts: list[Vertex], adjacency: tuple[tuple[int, ...], ...],
     `_derive` builds the whole matrix's rows as it reads the edges."""
     rows = []
     for v, around in enumerate(adjacency[:k]):
-        row = dict.fromkeys(around[:bisect_left(around, k)], 1)
-        row[v] = verts[v].euler
+        row = dict.fromkeys(around[:bisect_left(around, k)], _EDGE)
+        row[v] = (verts[v].euler, 0)
         rows.append(row)
     return eliminate_by_degree(rows)
 

@@ -1,18 +1,24 @@
 """Exact linear algebra on integer symmetric matrices, in Python ints.
 
-A matrix comes as sparse symmetric rows, rows[v][u] = a_vu for u = v and
-each a_vu != 0, and is eliminated symmetrically and fraction-free
-(Bareiss 1968): with D_0 = 1 and D_{k+1} the pivot of step k, taking v
-at step k sets b_ij = (D_{k+1} b_ij - b_vi b_vj) // D_k for i, j left in
-row v.  Each entry is then a minor (Sylvester's identity), so every
-division is exact and no entry outgrows Hadamard's bound on det m.  An
-entry that step k does not touch would only be scaled by D_{k+1}/D_k, so
-it is brought up to date when next read: b D_k // D_s, if last updated at
-step s.  m is negative definite iff D_k D_{k+1} < 0 for every k; factors
+A matrix comes as sparse symmetric rows of cells, rows[v][u] = (a_vu, 0)
+for u = v and each a_vu != 0, and is eliminated symmetrically and
+fraction-free (Bareiss 1968): with D_0 = 1 and D_{k+1} the pivot of step
+k, taking v at step k sets b_ij = (D_{k+1} b_ij - b_vi b_vj) // D_k for
+i, j left in row v.  Each entry is then a minor (Sylvester's identity), so
+every division is exact and no entry outgrows Hadamard's bound on det m.
+An entry that step k does not touch would only be scaled by D_{k+1}/D_k,
+so a cell (b, s) holds the entry as step s left it, one tuple written to
+both mirrored rows, and is brought up to date when next read: b D_k //
+D_s.  m is negative definite iff D_k D_{k+1} < 0 for every k; factors
 exist only then, and det m = D_m.  The operations are set by the
 fill-in, and the fill-in by the order: O(m^3) at worst, O(m) on a tree
-taken leaf first, as the minimum degree takes it.  Columns are keyed by
-rows of m, so vectors go in and come out in m's own order.
+taken leaf first, as the minimum degree takes it.  The factors also show
+whether m's graph (i ~ j when a_ij != 0) is connected: a step joins its
+vertex's neighbours to each other, so the vertices left of a component
+stay connected and only the last of each is taken with an empty column;
+the graph is connected iff every column but the last is nonempty.
+Columns are keyed by rows of m, so vectors go in and come out in m's own
+order.
 """
 
 from __future__ import annotations
@@ -86,15 +92,14 @@ class Elimination:
         return tuple(c)
 
 
-def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination | None:
+def eliminate_by_degree(rows: list[dict[int, tuple[int, int]]]) -> Elimination | None:
     """Factors of the rows, each holding its diagonal entry, or None at the
-    first pivot with D_k D_{k+1} >= 0.  The next pivot is a vertex of least
-    degree (the length of its row), ties to the lowest index: a heap keeps
-    one entry per change of degree and skips those that are stale when
-    they come up.  The rows are consumed: row v becomes None, its dict v's
-    column."""
+    first pivot with D_k D_{k+1} >= 0.  Each entry is a cell (b, s): its
+    value and the step that last wrote it, (a_vu, 0) as handed in.  The
+    next pivot is a vertex of least degree (the length of its row), ties to
+    the lowest index: a heap keeps one entry per change of degree and skips
+    those that are stale when they come up.  The rows are consumed."""
     minors, order, columns = [1], [], []
-    updated: list[dict[int, int]] = [{} for _ in rows]   # absent: step 0
     heap = [(len(row), v) for v, row in enumerate(rows)]
     heapify(heap)
     while heap:
@@ -102,33 +107,41 @@ def eliminate_by_degree(rows: list[dict[int, int]]) -> Elimination | None:
         row = rows[v]
         if row is None or degree != len(row):
             continue
-        rows[v], row_updated = None, updated[v]
+        rows[v] = None
         k = len(order)
         d_k, step = minors[k], k + 1
-        for j, b_vj in row.items():
-            s = row_updated.get(j, 0)
-            if s != k:
-                row[j] = b_vj * d_k // minors[s]
-        pivot = row.pop(v)    # no step deletes a row's own diagonal
+        pivot, s = row.pop(v)    # no step deletes a row's own diagonal
+        if s != k:
+            pivot = pivot * d_k // minors[s]
         if d_k * pivot >= 0:
             return None
         minors.append(pivot)
         order.append(v)
-        column = tuple(row.items())
+        if len(row) == 1:    # a leaf: its one neighbour's diagonal alone changes
+            i, (b_vi, s) = row.popitem()
+            if s != k:
+                b_vi = b_vi * d_k // minors[s]
+            columns.append([(i, b_vi)])
+            target = rows[i]
+            del target[v]
+            b_ii, s = target[i]
+            if s != k:
+                b_ii = b_ii * d_k // minors[s]
+            target[i] = ((pivot * b_ii - b_vi * b_vi) // d_k, step)
+            heappush(heap, (len(target), i))
+            continue
+        column = [(j, b if t == k else b * d_k // minors[t]) for j, (b, t) in row.items()]
+        columns.append(column)
+        absent = (0, k)
         for i, b_vi in column:
-            target, target_updated = rows[i], updated[i]
+            target = rows[i]
             del target[v]
             for j, b_vj in column:
-                if j >= i:    # each pair once, written to both its rows
-                    b_ij, s = target.get(j, 0), target_updated.get(j, 0)
+                if j >= i:    # each pair once, one cell written to both its rows
+                    b_ij, s = target.get(j, absent)
                     if s != k:
                         b_ij = b_ij * d_k // minors[s]
-                    target[j] = b_ij = (pivot * b_ij - b_vi * b_vj) // d_k
-                    target_updated[j] = step
-                    if j != i:
-                        rows[j][i] = b_ij
-                        updated[j][i] = step
+                    target[j] = rows[j][i] = ((pivot * b_ij - b_vi * b_vj) // d_k, step)
         for i in row:    # pushed once the fill is in, so no degree is stale
             heappush(heap, (len(rows[i]), i))
-        columns.append(column)
     return Elimination(minors, order, columns)

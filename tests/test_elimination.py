@@ -3,8 +3,9 @@ no code with it: continued-fraction numerators for Hirzebruch-Jung chains,
 the orbifold Euler number for three-legged stars, Leibniz and dense
 Bareiss determinants of the leading minors in declaration order, integer
 row sums over the edge list, also for the rounded solve, the count of
-the factors' entries on trees, and a minimum-degree simulation
-on sets for the pivot order and the fill-in.  Graphs are factored in an
+the factors' entries on trees, a minimum-degree simulation on sets for
+the pivot order and the fill-in, and a breadth-first search for the
+components the empty columns show.  Graphs are factored in an
 order of the program's choosing, so the graphs here are declared in
 random orders.
 """
@@ -15,6 +16,7 @@ import contextlib
 import io
 import random
 import re
+from collections import deque
 from fractions import Fraction
 from math import lcm, prod
 
@@ -72,14 +74,23 @@ def rows_of(weights: list[int], pairs) -> list[list[int]]:
     return rows
 
 
-def connected(m: int, pairs) -> bool:
-    """Whether every vertex is reached from vertex 0, by m rounds of
-    growing the reached set over the edge list."""
-    reached = {0}
-    for _ in range(m):
-        reached |= {j for i, j in pairs if i in reached}
-        reached |= {i for i, j in pairs if j in reached}
-    return len(reached) == m
+def components(m: int, pairs) -> int:
+    """The number of connected components, by breadth-first search."""
+    neighbours = [[] for _ in range(m)]
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen, count = [False] * m, 0
+    for start in range(m):
+        if not seen[start]:
+            count += 1
+            seen[start], queue = True, deque([start])
+            while queue:
+                for j in neighbours[queue.popleft()]:
+                    if not seen[j]:
+                        seen[j] = True
+                        queue.append(j)
+    return count
 
 
 @PROPERTY
@@ -145,8 +156,8 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
     # Sylvester: (-1)^k times the k-th leading minor must be > 0 for every k
     failing = [k for k in range(1, m + 1)
                if (-1) ** k * leibniz_determinant([r[:k] for r in rows[:k]]) <= 0]
-    # the sparse integer rows a graph hands over, each with its diagonal
-    factors = eliminate_by_degree([{j: x for j, x in enumerate(r) if x or j == i}
+    # the sparse rows of (entry, 0) cells a graph hands over, each with its diagonal
+    factors = eliminate_by_degree([{j: (x, 0) for j, x in enumerate(r) if x or j == i}
                                    for i, r in enumerate(rows)])
     if failing:
         assert factors is None
@@ -156,7 +167,7 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
     # the right sign; otherwise the error names the first failing vertex
     vertices = [(f"v{i}", e, 0) for i, e in enumerate(weights)]
     edges = [(f"v{i}", f"v{j}") for i, j in pairs]
-    if not connected(m, pairs):
+    if components(m, pairs) > 1:
         with pytest.raises(ValidationError, match="^graph is disconnected$"):
             PlumbingGraph(vertices, edges)
     elif failing:
@@ -382,6 +393,63 @@ def test_an_invalid_tree_is_rejected_in_logarithmically_many_factorizations(coun
     assert counted[0] == 300
     assert len(counted) <= 1 + 9
     assert all(size < 300 for size in counted[1:])
+
+
+@st.composite
+def disjoint_unions(draw, parts):
+    """Vertices, edges and edge index pairs of the disjoint union of the
+    drawn `declared_graphs`, part k's ids prefixed with p<k>, the vertices
+    of all parts declared in one random order."""
+    vertices, edges = [], []
+    for k, (part_vertices, part_edges, _) in enumerate(draw(parts)):
+        vertices += [(f"p{k}{vid}", e, g) for vid, e, g in part_vertices]
+        edges += [(f"p{k}{u}", f"p{k}{w}") for u, w in part_edges]
+    vertices = [vertices[i] for i in draw(st.permutations(range(len(vertices))))]
+    index = {vid: i for i, (vid, _, _) in enumerate(vertices)}
+    return vertices, edges, [(index[u], index[w]) for u, w in edges]
+
+
+def definite_parts(max_m):
+    return declared_graphs(max_m=max_m, cycles=3, slack=st.integers(1, 3))
+
+
+@PROPERTY
+@given(disjoint_unions(st.lists(definite_parts(8), min_size=1, max_size=3)))
+def test_the_empty_columns_of_a_definite_matrix_count_its_components(case):
+    # a step joins its vertex's neighbours, so only the last vertex of each
+    # component is taken with an empty column
+    vertices, edges, pairs = case
+    rows = [{i: (e, 0)} for i, (_, e, _) in enumerate(vertices)]
+    for i, j in pairs:
+        rows[i][j] = rows[j][i] = (1, 0)
+    factors = eliminate_by_degree(rows)
+    empty = [k for k, column in enumerate(factors._columns) if not column]
+    assert len(empty) == components(len(vertices), pairs)
+    assert empty[-1] == len(vertices) - 1
+    if len(empty) > 1:
+        with pytest.raises(ValidationError, match="^graph is disconnected$"):
+            PlumbingGraph(vertices, edges)
+    else:
+        assert PlumbingGraph(vertices, edges).factors.det == factors.det
+
+
+@PROPERTY
+@given(disjoint_unions(st.tuples(definite_parts(10), declared_graphs(
+    max_m=10, cycles=3, slack=st.integers(-2, 0)))))
+def test_a_valid_graph_beside_a_non_definite_one_is_disconnected(case):
+    # e_v = -deg_v - slack with slack <= 0 gives the all-ones vector x a
+    # square x.I.x >= 0, so the second part is not negative definite
+    vertices, edges, pairs = case
+    assert components(len(vertices), pairs) == 2
+    with pytest.raises(ValidationError, match="^graph is disconnected$"):
+        PlumbingGraph(vertices, edges)
+
+
+def test_every_column_but_the_last_is_nonempty_on_the_random_corpus(random_corpus):
+    for graph, _, _ in random_corpus:
+        assert components(graph.m, graph.edges) == 1
+        columns = graph.factors._columns
+        assert all(columns[:-1]) and not columns[-1]
 
 
 def scaled_integral(vector) -> tuple[int, list[int]]:

@@ -46,9 +46,10 @@ def random_negative_definite(rng, n):
 
 
 def eliminate(rows):
-    """Factor a dense symmetric matrix, handed over as its full sparse rows,
-    each with its diagonal entry; None if it is not negative definite."""
-    return eliminate_by_degree([{j: x for j, x in enumerate(row) if x or j == i}
+    """Factor a dense symmetric matrix, handed over as its full sparse rows
+    of (entry, 0) cells, each with its diagonal; None if it is not negative
+    definite."""
+    return eliminate_by_degree([{j: (x, 0) for j, x in enumerate(row) if x or j == i}
                                 for i, row in enumerate(rows)])
 
 
