@@ -115,7 +115,7 @@ class PlumbingGraph:
             rows[v][v] = (euler, 0)
         factors = eliminate_by_degree(rows)
         connected = (_is_connected(self.adjacency) if factors is None   # see `plumbook.rational`
-                     else all(factors._columns[:-1]))
+                     else factors.components == 1)
         if not connected:
             raise ValidationError("graph is disconnected")
         if factors is None:
@@ -228,7 +228,7 @@ def _read_lines(text: str) -> _Declarations:
     declared = _Declarations()
     name, vertex, edge = declared.name, declared.vertex, declared.edge
     try:
-        lines = _LINE_END_RE.split(text) if "\r" in text else text.split("\n")
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")   # as _LINE_END_RE splits
         for lineno, raw in enumerate(lines, start=1):
             fields = raw.partition("#")[0].split()
             if not fields:

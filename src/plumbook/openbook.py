@@ -215,12 +215,9 @@ def _minimal_divisor(graph: PlumbingGraph) -> tuple[tuple[int, ...], tuple[int, 
                   for v, deg in zip(graph.vertices, graph.degrees)]
     d = list(graph.factors.solve_rounded_up(thresholds))
     row = _intersection_with(graph, d)
-    pending = [i for i, (r, c) in enumerate(zip(row, thresholds)) if r > c]
-    if pending:    # often none: no chain, star or family graph of the benchmark pools has any
-        abs_e = [-v.euler for v in graph.vertices]
-        queued = [False] * graph.m
-        for i in pending:
-            queued[i] = True
+    abs_e = [-v.euler for v in graph.vertices]
+    queued = [r > c for r, c in zip(row, thresholds)]
+    pending = [i for i, q in enumerate(queued) if q]
     while pending:
         i = pending.pop()
         queued[i] = False
