@@ -122,6 +122,19 @@ def eliminate_by_degree(rows: list[dict[int, tuple[int, int]]]) -> Elimination |
             return None
         minors.append(pivot)
         order.append(v)
+        if len(row) == 1:    # a leaf: its one neighbour's diagonal alone changes
+            i, (b_vi, s) = row.popitem()
+            if s != k:
+                b_vi = b_vi * d_k // minors[s]
+            columns.append([(i, b_vi)])
+            target = rows[i]
+            del target[v]
+            b_ii, s = target[i]
+            if s != k:
+                b_ii = b_ii * d_k // minors[s]
+            target[i] = ((pivot * b_ii - b_vi * b_vi) // d_k, step)
+            heappush(heap, (len(target), i))
+            continue
         column = [(j, b if t == k else b * d_k // minors[t]) for j, (b, t) in row.items()]
         columns.append(column)
         absent = (0, k)
