@@ -38,7 +38,6 @@ from .errors import ParseError, ValidationError, _iterable, _read_int, _shown
 from .rational import Elimination, eliminate_by_degree
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_LINE_END_RE = re.compile(r"\r\n?|\n")
 _VERTEX_LINE_RE = re.compile(r"vertex ([A-Za-z0-9_]+) e=(-?[0-9]+) g=([0-9]+)\n")
 _EDGE_LINE_RE = re.compile(r"edge ([A-Za-z0-9_]+) ([A-Za-z0-9_]+)\n")
 # a plain file: vertex lines, then edge lines; a match that captures nothing is faster
@@ -59,11 +58,9 @@ class PlumbingGraph:
     The constructor checks the structure, then connectivity, then
     negative definiteness by one symmetric elimination of the
     intersection matrix in minimum-degree order, and raises
-    ValidationError on the first failure.  Connectivity is read off the
-    factors, and the graph is walked only when the elimination stops
-    early.  A definiteness failure names the vertex that closes the first
-    leading block, in declaration order, that is not negative definite
-    (another order can stop elsewhere).
+    ValidationError on the first failure.  A definiteness failure names
+    the vertex that closes the first leading block, in declaration order,
+    that is not negative definite (another order can stop elsewhere).
     Euler numbers and genera must be ints (a bool or a float is
     rejected).  Euler numbers are not sign-checked on their own: a
     nonnegative e_v always surfaces as a definiteness failure.
@@ -111,13 +108,11 @@ class PlumbingGraph:
             rows[i][j] = rows[j][i] = _EDGE
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.degrees: tuple[int, ...] = tuple(map(len, rows))
+        if not _is_connected(self.adjacency):
+            raise ValidationError("graph is disconnected")
         for v, (_, euler, _) in enumerate(verts):
             rows[v][v] = (euler, 0)
         factors = eliminate_by_degree(rows)
-        connected = (_is_connected(self.adjacency) if factors is None   # see `plumbook.rational`
-                     else factors.components == 1)
-        if not connected:
-            raise ValidationError("graph is disconnected")
         if factors is None:
             # every leading block of a negative definite matrix is one: bisect
             failing = 1 + bisect_left(range(1, self.m), True, key=lambda k: _factor_leading(
@@ -228,8 +223,7 @@ def _read_lines(text: str) -> _Declarations:
     declared = _Declarations()
     name, vertex, edge = declared.name, declared.vertex, declared.edge
     try:
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")   # as _LINE_END_RE splits
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(_lines(text), start=1):
             fields = raw.partition("#")[0].split()
             if not fields:
                 continue
@@ -251,6 +245,11 @@ def _read_lines(text: str) -> _Declarations:
     if not declared.vertices:
         raise ParseError("no vertices declared")
     return declared
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a text, which end at LF, CR LF or CR only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _keyed_int(field: str, prefix: str) -> int:

@@ -12,13 +12,8 @@ both mirrored rows, and is brought up to date when next read: b D_k //
 D_s.  m is negative definite iff D_k D_{k+1} < 0 for every k; factors
 exist only then, and det m = D_m.  The operations are set by the
 fill-in, and the fill-in by the order: O(m^3) at worst, O(m) on a tree
-taken leaf first, as the minimum degree takes it.  The factors also show
-whether m's graph (i ~ j when a_ij != 0) is connected: a step joins its
-vertex's neighbours to each other, so the vertices left of a component
-stay connected and only the last of each is taken with an empty column;
-the graph is connected iff every column but the last is nonempty.
-Columns are keyed by rows of m, so vectors go in and come out in m's own
-order.
+taken leaf first, as the minimum degree takes it.  Columns are keyed by
+rows of m, so vectors go in and come out in m's own order.
 """
 
 from __future__ import annotations
@@ -48,11 +43,6 @@ class Elimination:
     def l_nonzeros(self) -> int:
         """Entries kept below the diagonal: the matrix's own plus fill-in."""
         return sum(len(column) for column in self._columns)
-
-    @property
-    def components(self) -> int:
-        """Components of m's graph: the columns left empty (module docstring)."""
-        return sum(not column for column in self._columns)
 
     def solve_times_det(self, b: Iterable[int]) -> tuple[int, ...]:
         """y = det(m) m^{-1} b for integral b, in integers."""

@@ -5,9 +5,8 @@ Bareiss determinants of the leading minors in declaration order, integer
 row sums over the edge list, also for the rounded solve, the count of
 the factors' entries on trees, a minimum-degree simulation on sets for
 the pivot order and the fill-in, and a breadth-first search for the
-components the empty columns show.  Graphs are factored in an
-order of the program's choosing, so the graphs here are declared in
-random orders.
+components of a disjoint union.  Graphs are factored in an order of the
+program's choosing, so the graphs here are declared in random orders.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import plumbook.graph
 from plumbook import (Elimination, PlumbingGraph, ValidationError,
-                      build_open_book, canonical_cycle, serialize_graph)
+                      build_open_book, canonical_cycle, parse_graph, serialize_graph)
 from plumbook.cli import main
 from plumbook.rational import eliminate_by_degree
 
@@ -415,20 +414,40 @@ def definite_parts(max_m):
 
 @PROPERTY
 @given(disjoint_unions(st.lists(definite_parts(8), min_size=1, max_size=3)))
-def test_the_empty_columns_of_a_definite_matrix_count_its_components(case):
-    # a step joins its vertex's neighbours, so only the last vertex of each
-    # component is taken with an empty column
+def test_a_union_of_definite_graphs_is_valid_exactly_when_it_has_one_component(case):
     vertices, edges, pairs = case
-    rows = [{i: (e, 0)} for i, (_, e, _) in enumerate(vertices)]
-    for i, j in pairs:
-        rows[i][j] = rows[j][i] = (1, 0)
-    factors = eliminate_by_degree(rows)
-    assert factors.components == components(len(vertices), pairs)
-    if factors.components > 1:
+    if components(len(vertices), pairs) > 1:
         with pytest.raises(ValidationError, match="^graph is disconnected$"):
             PlumbingGraph(vertices, edges)
     else:
-        assert PlumbingGraph(vertices, edges).factors.det == factors.det
+        rows = [{i: (e, 0)} for i, (_, e, _) in enumerate(vertices)]
+        for i, j in pairs:
+            rows[i][j] = rows[j][i] = (1, 0)
+        assert PlumbingGraph(vertices, edges).factors.det == eliminate_by_degree(rows).det
+
+
+# `counted` is filled by no example, so it may outlive each one
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(disjoint_unions(st.lists(definite_parts(8), min_size=2, max_size=3)))
+def test_a_disconnected_graph_is_rejected_before_any_factorization(counted, case):
+    vertices, edges, _ = case
+    with pytest.raises(ValidationError, match="^graph is disconnected$"):
+        PlumbingGraph(vertices, edges)
+    assert counted == []
+
+
+def two_grids(k: int) -> str:
+    """Two k x k grids in one plain file, every vertex e=-5."""
+    cells = [(p, r, c) for p in "ab" for r in range(k) for c in range(k)]
+    text = "".join(f"vertex {p}{r}_{c} e=-5 g=0\n" for p, r, c in cells)
+    text += "".join(f"edge {p}{r}_{c} {p}{r}_{c + 1}\n" for p, r, c in cells if c + 1 < k)
+    return text + "".join(f"edge {p}{r}_{c} {p}{r + 1}_{c}\n" for p, r, c in cells if r + 1 < k)
+
+
+def test_two_grids_in_one_file_are_rejected_before_any_factorization(counted):
+    with pytest.raises(ValidationError, match="^graph is disconnected$"):
+        parse_graph(two_grids(10))
+    assert counted == []
 
 
 @PROPERTY
@@ -441,11 +460,6 @@ def test_a_valid_graph_beside_a_non_definite_one_is_disconnected(case):
     assert components(len(vertices), pairs) == 2
     with pytest.raises(ValidationError, match="^graph is disconnected$"):
         PlumbingGraph(vertices, edges)
-
-
-def test_every_column_but_the_last_is_nonempty_on_the_random_corpus(random_corpus):
-    for graph, _, _ in random_corpus:
-        assert components(graph.m, graph.edges) == graph.factors.components == 1
 
 
 def scaled_integral(vector) -> tuple[int, list[int]]:
