@@ -3,9 +3,11 @@
     python scripts/check_rows.py GRAPH REPORT
 
 GRAPH is the plain graph file the report was made from (`vertex ID e=E
-g=G` and `edge U V` lines), REPORT the JSON report.  The check reads both
-itself and imports nothing from plumbook.  For every vertex v, with row
-(I.d)_v = e_v d_v + sum of d_u over the neighbours u of v:
+g=G` and `edge U V` lines, blank lines and `#` comments), REPORT the JSON
+report.  The graph reader, the row sums, the degrees and the thresholds
+are the independent oracles of `tests/oracles.py`; neither that module
+nor this script imports plumbook.  For every vertex v, with row (I.d)_v =
+e_v d_v + sum of d_u over the neighbours u of v:
 
 - row = -n_v with n_v >= 1, the binding;
 - row <= min(-(deg_v + 2 g_v), -1), the divisor's threshold;
@@ -14,30 +16,19 @@ itself and imports nothing from plumbook.  For every vertex v, with row
 A `divisor` report must also give slack_v = deg_v + 2 g_v - n_v <= 0 and
 `condition holds`; an `openbook` report must give multiplicities equal to
 its divisor and its certificate's divisor, and k = 1 in both places.
-Exits 1 with the first failure, 0 after printing a summary line.
+Exits 1 with the first failure, or with `error: GRAPH: line N: ...` on a
+graph line the reader cannot read, and 0 after printing a summary line.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
-
-def read_graph(path: str) -> tuple[dict, dict, dict]:
-    """The Euler numbers, genera and neighbour lists by vertex id."""
-    euler, genus, neighbours = {}, {}, {}
-    with open(path) as fh:
-        for line in fh:
-            fields = line.split()
-            if fields[0] == "vertex":
-                vid = fields[1]
-                euler[vid] = int(fields[2].removeprefix("e="))
-                genus[vid] = int(fields[3].removeprefix("g="))
-                neighbours[vid] = []
-            else:
-                neighbours[fields[1]].append(fields[2])
-                neighbours[fields[2]].append(fields[1])
-    return euler, genus, neighbours
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import (GraphFileError, degrees, read_graph, row_sums,  # noqa: E402
+                           sparse_rows, thresholds)
 
 
 class Failed(Exception):
@@ -51,25 +42,26 @@ def require(holds: bool, message: str) -> None:
 
 def check(graph_path: str, report_path: str) -> str:
     """A summary line, or Failed at the first check that does not hold."""
-    euler, genus, neighbours = read_graph(graph_path)
+    with open(graph_path) as fh:
+        graph = read_graph(fh.read())
     with open(report_path) as fh:
         report = json.load(fh)
-    ids = report["vertices"]
-    require(sorted(ids) == sorted(euler), "the report's vertices are not the graph's")
-    d = dict(zip(ids, report["divisor"]))
-    n = dict(zip(ids, report["binding"]))
-    slack = dict(zip(ids, report["slacks"])) if "slacks" in report else None
-    for v in ids:
-        row = euler[v] * d[v] + sum(d[u] for u in neighbours[v])
-        degree = len(neighbours[v])
-        threshold = min(-(degree + 2 * genus[v]), -1)
-        require(row == -n[v] and n[v] >= 1, f"vertex {v}: row {row}, binding {n[v]}")
-        require(row <= threshold, f"vertex {v}: row {row} above its threshold {threshold}")
-        require(d[v] == 1 or row - euler[v] > threshold,
-                f"vertex {v}: entry {d[v]} can be lowered alone")
+    require(sorted(report["vertices"]) == sorted(graph.ids),
+            "the report's vertices are not the graph's")
+    at = {v: k for k, v in enumerate(report["vertices"])}
+    d, n, slack = ([report[key][at[v]] for v in graph.ids] if key in report else None
+                   for key in ("divisor", "binding", "slacks"))
+    rows = row_sums(sparse_rows(graph.euler, graph.pairs), d)
+    limits = zip(graph.ids, graph.euler, graph.genus, degrees(len(d), graph.pairs),
+                 thresholds(graph.genus, graph.pairs))
+    for v, (vid, e, g, degree, threshold) in enumerate(limits):
+        row = rows[v]
+        require(row == -n[v] and n[v] >= 1, f"vertex {vid}: row {row}, binding {n[v]}")
+        require(row <= threshold, f"vertex {vid}: row {row} above its threshold {threshold}")
+        require(d[v] == 1 or row - e > threshold,
+                f"vertex {vid}: entry {d[v]} can be lowered alone")
         if slack is not None:
-            require(slack[v] == degree + 2 * genus[v] - n[v] <= 0,
-                    f"vertex {v}: slack {slack[v]}")
+            require(slack[v] == degree + 2 * g - n[v] <= 0, f"vertex {vid}: slack {slack[v]}")
     if slack is not None:
         require(report["condition holds"] is True, "condition holds is not true")
     else:
@@ -77,7 +69,7 @@ def check(graph_path: str, report_path: str) -> str:
         require(report["multiplicities"] == report["divisor"] == certificate["divisor"],
                 "multiplicities, divisor and certificate divisor differ")
         require(report["k"] == certificate["k"] == 1, "k is not 1")
-    return f"row sums hold at all {len(ids)} vertices; largest entry {max(d.values())}"
+    return f"row sums hold at all {len(d)} vertices; largest entry {max(d)}"
 
 
 def main(argv: list[str]) -> int:
@@ -86,6 +78,9 @@ def main(argv: list[str]) -> int:
         return 64
     try:
         print(check(*argv))
+    except GraphFileError as exc:
+        print(f"error: {argv[0]}: {exc}", file=sys.stderr)
+        return 1
     except Failed as exc:
         print(f"error: {argv[1]}: {exc}", file=sys.stderr)
         return 1

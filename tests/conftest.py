@@ -1,10 +1,10 @@
 """Shared corpora and independent oracles.
 
 The helpers here deliberately avoid the package's own arithmetic paths:
-feasibility is checked through the algebraically simplified row form
-(I.d)_i + deg_i + 2g_i <= 0, matrix products are done with plain integer
-loops or numpy, and pointwise minima come from enumeration.  Agreement
-with the package is then a real cross-check, not a tautology.
+feasibility is checked through the simplified row form (I.d)_i + deg_i +
+2g_i <= 0 by the oracles of `tests/oracles.py`, matrix products are done
+with plain integer loops or numpy, and pointwise minima come from
+enumeration.  Agreement with the package is then a real cross-check.
 """
 
 from __future__ import annotations
@@ -15,52 +15,54 @@ import random
 import pytest
 
 from plumbook import FamilyParams, PlumbingGraph, ValidationError, default_t
+from plumbook.rational import eliminate_by_degree
+
+from .oracles import dense_rows, row_sums, sparse_rows, thresholds
 
 SEED = 20260822
 RANDOM_CORPUS_SIZE = 200
 
 
+def graph_rows(graph: PlumbingGraph) -> list[dict[int, int]]:
+    return sparse_rows([v.euler for v in graph.vertices], graph.edges)
+
+
 def intersection_rows(graph: PlumbingGraph, vec) -> list[int]:
-    """I.vec by direct summation over the edge list (integer arithmetic)."""
-    rows = [graph.vertices[i].euler * vec[i] for i in range(graph.m)]
-    for i, j in graph.edges:
-        rows[i] += vec[j]
-        rows[j] += vec[i]
-    return rows
+    return row_sums(graph_rows(graph), vec)
 
 
 def feasibility_thresholds(graph: PlumbingGraph) -> list[int]:
-    """Row bounds c_i with: d feasible iff (I.d)_i <= c_i for all i.
-
-    Derived by cancellation of the Euler number between the all-ones row
-    and the adjunction term: the divisor condition collapses to
-    (I.d)_i <= -(deg_i + 2 g_i), and positive binding adds (I.d)_i <= -1.
-    """
-    degrees = [0] * graph.m
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    return [min(-(degrees[i] + 2 * graph.vertices[i].genus), -1)
-            for i in range(graph.m)]
+    return thresholds([v.genus for v in graph.vertices], graph.edges)
 
 
 def is_feasible(graph: PlumbingGraph, divisor) -> bool:
-    if any(d < 1 for d in divisor):
-        return False
-    rows = intersection_rows(graph, list(divisor))
-    return all(r <= c for r, c in zip(rows, feasibility_thresholds(graph)))
+    rows = intersection_rows(graph, divisor)
+    return min(divisor) >= 1 and all(r <= c for r, c in zip(rows, feasibility_thresholds(graph)))
+
+
+def lowerable(graph: PlumbingGraph, divisor) -> list[int]:
+    """The entries that can each be lowered by one alone, the divisor staying
+    feasible: none for a pointwise minimal one."""
+    return [i for i, x in enumerate(divisor)
+            if is_feasible(graph, [*divisor[:i], x - 1, *divisor[i + 1:]])]
+
+
+def eliminate(rows):
+    """Factor dense symmetric rows, handed over as a graph hands its rows over:
+    (entry, 0) cells, each row with its diagonal; None if not negative definite."""
+    return eliminate_by_degree([{j: (x, 0) for j, x in enumerate(row) if x or j == i}
+                                for i, row in enumerate(rows)])
 
 
 def unit_step_minimum(graph: PlumbingGraph) -> tuple[int, ...]:
     """Least feasible divisor by the textbook iteration: start at (1, ..., 1)
-    and add 1 at the first violated row, every row summed again over the
-    edge list.  It makes sum(d_i - 1) raises, so keep divisors small.
+    and add 1 at the first violated row, every row summed again.  It makes
+    sum(d_i - 1) raises, so keep divisors small.
     """
-    thresholds = feasibility_thresholds(graph)
+    rows, c = graph_rows(graph), feasibility_thresholds(graph)
     d = [1] * graph.m
     while True:
-        rows = intersection_rows(graph, d)
-        violated = [i for i, (r, c) in enumerate(zip(rows, thresholds)) if r > c]
+        violated = [i for i, (r, c_i) in enumerate(zip(row_sums(rows, d), c)) if r > c_i]
         if not violated:
             return tuple(d)
         d[violated[0]] += 1
@@ -71,12 +73,11 @@ def small_box_minimum(graph: PlumbingGraph, box: int) -> tuple[int, ...]:
 
     Pure Python; only sensible for small m and box.
     """
-    thresholds = feasibility_thresholds(graph)
+    rows, c = graph_rows(graph), feasibility_thresholds(graph)
     mins = [box + 1] * graph.m
     found = False
     for point in itertools.product(range(1, box + 1), repeat=graph.m):
-        rows = intersection_rows(graph, list(point))
-        if all(r <= c for r, c in zip(rows, thresholds)):
+        if all(r <= c_i for r, c_i in zip(row_sums(rows, point), c)):
             found = True
             mins = [min(a, b) for a, b in zip(mins, point)]
     assert found, "no feasible divisor inside the box"
@@ -89,12 +90,7 @@ def brute_force_minimum(graph: PlumbingGraph, box: int = 200) -> tuple[int, ...]
 
     m = graph.m
     assert m <= 3, "enumeration oracle only handles m <= 3"
-    I = np.zeros((m, m), dtype=np.int64)
-    for idx, v in enumerate(graph.vertices):
-        I[idx, idx] = v.euler
-    for i, j in graph.edges:
-        I[i, j] = 1
-        I[j, i] = 1
+    I = np.array(dense_rows([v.euler for v in graph.vertices], graph.edges), dtype=np.int64)
     thresholds = np.array(feasibility_thresholds(graph), dtype=np.int64)
     rng = np.arange(1, box + 1, dtype=np.int64)
     mins = np.full(m, box + 1, dtype=np.int64)

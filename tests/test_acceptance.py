@@ -10,12 +10,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from plumbook import (PlumbingGraph, build_open_book, canonical_cycle,
-                      family_resolution_graph, milnor_fiber_invariants,
-                      minimal_open_book, plane_curve_mu, surface_mu, verify_gluing)
+from plumbook import (build_open_book, canonical_cycle, family_resolution_graph,
+                      milnor_fiber_invariants, minimal_open_book, parse_graph, plane_curve_mu,
+                      surface_mu, verify_gluing)
 
 from .conftest import (BRUTE_FORCE_NAMES, brute_force_minimum, is_feasible,
                        intersection_rows, s3_params)
+from .oracles import chain, graph_text
 
 N_SET = (3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)
 
@@ -123,25 +124,14 @@ def test_criterion_6_open_book_validity(capsys, random_corpus):
 
 
 def _ade_graphs():
-    def chain(n):
-        vertices = [(f"c{i}", -2, 0) for i in range(n)]
-        edges = [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
-        return vertices, edges
+    def branched(n, legs):
+        """The (-2) chain c0, ..., c<n-1> with a (-2) vertex joined to it by each leg."""
+        legs = "".join(f"vertex {v} e=-2 g=0\nedge {at} {v}\n" for v, at in legs)
+        return parse_graph(graph_text(chain([-2] * n)) + legs)
 
-    graphs = {}
-    for n in range(1, 6):
-        graphs[f"A{n}"] = PlumbingGraph(*chain(n))
-    for n in (4, 5):
-        vertices, edges = chain(n - 2)
-        vertices += [("f1", -2, 0), ("f2", -2, 0)]
-        edges += [("c0", "f1"), ("c0", "f2")]
-        graphs[f"D{n}"] = PlumbingGraph(vertices, edges)
-    for n in (6, 7, 8):
-        vertices, edges = chain(n - 1)
-        vertices.append(("b", -2, 0))
-        edges.append(("c2", "b"))
-        graphs[f"E{n}"] = PlumbingGraph(vertices, edges)
-    return graphs
+    graphs = {f"A{n}": branched(n, []) for n in range(1, 6)}
+    graphs |= {f"D{n}": branched(n - 2, [("f1", "c0"), ("f2", "c0")]) for n in (4, 5)}
+    return graphs | {f"E{n}": branched(n - 1, [("b", "c2")]) for n in (6, 7, 8)}
 
 
 def test_criterion_7_exact_anchors(capsys, fixed_corpus):

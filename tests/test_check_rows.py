@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from plumbook import parse_graph
+
+from .oracles import graph_text, read_graph
 from .test_golden import GOLDEN
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_rows.py"
@@ -78,3 +81,40 @@ def test_a_report_with_one_fault_fails(graph, report, fault, tmp_path):
 def test_one_argument_is_a_usage_error():
     assert check_rows(GOLDEN / "star24.pg") == (
         64, "", "usage: python scripts/check_rows.py GRAPH REPORT\n")
+
+
+@pytest.mark.parametrize("report", REPORTS)
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_comments_and_blank_lines_in_the_graph_are_skipped(graph, report, tmp_path):
+    text = (GOLDEN / f"{graph}.pg").read_text(encoding="utf-8")
+    lines = ["# a comment", ""] + [f"{line}  # ends in a comment\n" for line in text.splitlines()]
+    path = tmp_path / f"{graph}.pg"
+    path.write_text("\n".join(lines + ["  "]), encoding="utf-8")
+    # plumbook and the oracles' reader both take it as the golden graph
+    assert parse_graph(path.read_text(encoding="utf-8")) == parse_graph(text)
+    assert graph_text(read_graph(path.read_text(encoding="utf-8"))) == text
+    code, out, err = check_rows(path, GOLDEN / graph / f"{report}.json")
+    assert (code, err) == (0, "")
+    assert out.startswith("row sums hold at all ")
+
+
+# each a fourth line after family_n3's three
+UNREADABLE = {
+    "no genus": "vertex C e=-2", "extra field": "vertex C e=-2 g=0 extra",
+    "bad Euler number": "vertex C e=x g=0", "negative genus": "vertex C e=-2 g=-1",
+    "invalid id": "vertex C! e=-2 g=0", "repeated vertex": "vertex A e=-2 g=0",
+    "one endpoint": "edge A", "undeclared endpoint": "edge A Z", "loop": "edge A A",
+    "repeated edge": "edge B A", "unknown directive": "node C",
+    "int past the digit limit": "vertex C e=-1" + "0" * 5000 + " g=0", "long line": "x" * 5000,
+}
+
+
+@pytest.mark.parametrize("line", UNREADABLE.values(), ids=list(UNREADABLE))
+def test_a_graph_line_that_cannot_be_read_is_one_error_line(line, tmp_path):
+    path = tmp_path / "family_n3.pg"
+    path.write_text((GOLDEN / "family_n3.pg").read_text(encoding="utf-8") + line + "\n",
+                    encoding="utf-8")
+    code, out, err = check_rows(path, GOLDEN / "family_n3" / "divisor.json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: line 4: cannot read ")
+    assert err.count("\n") == 1 and len(err) < 200 + len(str(path)) and "Traceback" not in err

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -18,8 +17,9 @@ from hypothesis import strategies as st
 import plumbook
 from plumbook.cli import build_parser, main
 
-from .conftest import feasibility_thresholds, intersection_rows, is_feasible
-from .test_elimination import bareiss_determinant
+from .conftest import graph_rows, intersection_rows, is_feasible, lowerable
+from .oracles import (bareiss_determinant, chain, degrees, dense_rows, graph_text,
+                      row_sums, solves, sparse_rows, thresholds, tree_determinant)
 from .test_golden import CASES, GOLDEN
 
 N3_TEXT = """\
@@ -237,8 +237,7 @@ class TestOpenbook:
         # each entry is looked up in a set built once, not in the tuple of
         # ids, so reading a full --n is linear in the number of vertices
         m = 2000
-        text = "".join(f"vertex c{i} e=-3 g=0\n" for i in range(m))
-        text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
+        text = graph_text(chain([-3] * m))
         path = tmp_path / "chain.pg"
         path.write_text(text, encoding="utf-8")
         # n = -I.(1, ..., 1): 2 at both ends, 1 inside
@@ -398,9 +397,7 @@ class TestDivisorSearch:
 
     def test_long_minus_two_chain_is_feasible_and_minimal(self, capsys, tmp_path):
         m = 500
-        weights = [-2] * (m - 1) + [-3]
-        text = "".join(f"vertex c{i} e={e} g=0\n" for i, e in enumerate(weights))
-        text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
+        text = graph_text(chain([-2] * (m - 1) + [-3]))
         path = tmp_path / "chain.pg"
         path.write_text(text, encoding="utf-8")
         code, out, _ = run(capsys, "divisor", "-i", str(path), "--json")
@@ -408,11 +405,7 @@ class TestDivisorSearch:
         divisor = json.loads(out)["divisor"]
         graph = plumbook.parse_graph(text)
         assert is_feasible(graph, divisor)
-        for i in range(m):
-            if divisor[i] > 1:
-                lowered = divisor.copy()
-                lowered[i] -= 1
-                assert not is_feasible(graph, lowered), i
+        assert lowerable(graph, divisor) == []
 
 
 class TestUsageErrors:
@@ -488,15 +481,9 @@ def huge_pair() -> tuple[str, int]:
 
 
 def long_chain() -> tuple[str, int]:
-    """1,500 vertices with e = -1000 in a chain; det is the continuant
-    D_k = -1000 D_{k-1} - D_{k-2}."""
-    m = 1500
-    text = "".join(f"vertex c{i} e=-1000 g=0\n" for i in range(m))
-    text += "".join(f"edge c{i} c{i + 1}\n" for i in range(m - 1))
-    before, det = 0, 1
-    for _ in range(m):
-        before, det = det, -1000 * det - before
-    return text, det
+    """1,500 vertices with e = -1000 in a chain; det is its continuant."""
+    graph = chain([-1000] * 1500)
+    return graph_text(graph), tree_determinant(graph.euler, graph.pairs)
 
 
 def quartics(N: int) -> tuple[int, Fraction]:
@@ -541,8 +528,7 @@ class TestPastTheDigitLimit:
             k_squared = Fraction(report["k squared"])
         graph = plumbook.parse_graph(text)
         rhs = [2 * v.genus - 2 - v.euler for v in graph.vertices]
-        k = math.lcm(*(x.denominator for x in r))
-        assert intersection_rows(graph, [int(k * x) for x in r]) == [k * b for b in rhs]
+        assert solves(graph_rows(graph), r, rhs)
         assert k_squared == sum(x * b for x, b in zip(r, rhs))
 
     def test_family_mu_is_the_quartic(self, capsys):
@@ -686,7 +672,7 @@ def mutated_files(draw, mutation):
                               max_size=3)):
         if u != w and (w, u) not in edges:
             edges.add((u, w))
-    degree = [sum(v in edge for edge in edges) for v in range(m)]
+    degree = degrees(m, edges)
     # e = -(deg + 1) makes -I strictly diagonally dominant
     place = {v: p for p, v in enumerate(draw(st.permutations(range(m))))}
     items = [((place[v], 0, v), f"vertex v{v} e={-degree[v] - 1} g={draw(st.integers(0, 2))}")
@@ -892,10 +878,7 @@ def valid_graphs(draw):
     for _ in range(draw(st.integers(0, m // 5))):
         i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
         pairs.add((min(i, j), max(i, j)))
-    degree = [0] * m
-    for i, j in pairs:
-        degree[i] += 1
-        degree[j] += 1
+    degree = degrees(m, pairs)
     extra = st.one_of(st.integers(0, 20),
                       st.integers(1, 3000).flatmap(lambda k: st.integers(0, 10 ** k)))
     euler = [-(degree[v] + 1 + draw(extra)) for v in range(m)]
@@ -907,17 +890,6 @@ def valid_graphs(draw):
         i, j = (i, j) if draw(st.booleans()) else (j, i)
         lines.insert(draw(st.integers(after, len(lines))), f"edge v{i} v{j}")
     return ("\n".join(lines) + "\n").encode(), euler, genus, sorted(pairs)
-
-
-def plain_graph(report: dict, euler, genus, pairs):
-    """The graph in the report's vertex order, as conftest's oracles read it."""
-    at = {vid: k for k, vid in enumerate(report["vertices"])}
-    assert sorted(at) == sorted(f"v{v}" for v in range(len(euler)))
-    order = [int(vid[1:]) for vid in report["vertices"]]
-    return SimpleNamespace(
-        m=len(order),
-        vertices=[SimpleNamespace(euler=euler[v], genus=genus[v]) for v in order],
-        edges=[(at[f"v{i}"], at[f"v{j}"]) for i, j in pairs])
 
 
 # every subcommand on a valid graph exits 0, and its JSON report passes
@@ -939,39 +911,35 @@ def test_every_report_of_a_valid_graph_passes_its_row_sums(case, draws):
             reports[name] = json.loads(out)
     with digits_unlimited():
         check = reports["check"]
-        graph = plain_graph(check, euler, genus, pairs)
-        rows = [[0] * m for _ in range(m)]
-        for k, vertex in enumerate(graph.vertices):
-            rows[k][k] = vertex.euler
-        for i, j in graph.edges:
-            rows[i][j] = rows[j][i] = 1
-        assert Fraction(check["determinant"]) == bareiss_determinant(rows)
+        # the graph in the reports' vertex order, which is the file's
+        assert all(report["vertices"] == check["vertices"] for report in reports.values())
+        order = [int(vid[1:]) for vid in check["vertices"]]
+        assert sorted(order) == list(range(m))
+        at = {v: k for k, v in enumerate(order)}
+        e, g = [euler[v] for v in order], [genus[v] for v in order]
+        p = [(at[i], at[j]) for i, j in pairs]
+        rows = sparse_rows(e, p)
+        assert Fraction(check["determinant"]) == bareiss_determinant(dense_rows(e, p))
 
         canonical = reports["canonical"]
-        graph = plain_graph(canonical, euler, genus, pairs)
-        rhs = [2 * v.genus - 2 - v.euler for v in graph.vertices]
+        rhs = [2 * g_v - 2 - e_v for e_v, g_v in zip(e, g)]
         assert canonical["adjunction rhs"] == rhs
         r = [Fraction(x) for x in canonical["coefficients"]]
-        k = math.lcm(*(x.denominator for x in r))
-        assert intersection_rows(graph, [int(k * x) for x in r]) == [k * b for b in rhs]
+        assert solves(rows, r, rhs)
         assert Fraction(canonical["k squared"]) == sum(x * b for x, b in zip(r, rhs))
 
         divisor = reports["divisor"]
-        graph = plain_graph(divisor, euler, genus, pairs)
         d, n = divisor["divisor"], divisor["binding"]
-        products = intersection_rows(graph, d)
-        thresholds = feasibility_thresholds(graph)
+        products = row_sums(rows, d)
         assert products == [-x for x in n] and min(n) >= 1
-        for v, (row, threshold) in enumerate(zip(products, thresholds)):
+        for v, (row, threshold) in enumerate(zip(products, thresholds(g, p))):
             assert row <= threshold, v
-            assert d[v] == 1 or row - graph.vertices[v].euler > threshold, v
+            assert d[v] == 1 or row - e[v] > threshold, v
         assert divisor["condition holds"] is True
 
-        for name in ("openbook", "openbook --n"):
-            book = reports[name]
-            graph = plain_graph(book, euler, genus, pairs)
-            n = book["binding"]
-            assert intersection_rows(graph, book["multiplicities"]) == [-book["k"] * x for x in n]
+        for book in (reports["openbook"], reports["openbook --n"]):
+            k, n = book["k"], book["binding"]
+            assert row_sums(rows, book["multiplicities"]) == [-k * x for x in n]
         assert reports["openbook --n"]["binding"] == [binding[int(vid[1:])] for vid in
                                                       reports["openbook --n"]["vertices"]]
         assert reports["openbook"]["multiplicities"] == d

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbook import (PlumbingGraph, ValidationError, build_open_book,
-                      minimal_open_book, serialize_graph)
+                      minimal_open_book, parse_graph, serialize_graph)
 from plumbook.cli import main
 
-from .conftest import (feasibility_thresholds, is_feasible, intersection_rows,
+from .conftest import (feasibility_thresholds, is_feasible, intersection_rows, lowerable,
                        small_box_minimum, unit_step_minimum)
+from .oracles import chain, degrees, graph_text
 from .test_elimination import GRAPHS, declared_graphs, definite_graph
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -43,12 +44,8 @@ def divisor_report(graph, tmp_path, capsys) -> dict:
 def simplified_slacks(graph, divisor) -> list[int]:
     """(I.d)_i + deg_i + 2 g_i, the slack of condition (a) without the
     canonical cycle, with the degrees counted over the edge list."""
-    rows = intersection_rows(graph, list(divisor))
-    degrees = [0] * graph.m
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    return [rows[i] + degrees[i] + 2 * graph.vertices[i].genus for i in range(graph.m)]
+    rows, degree = intersection_rows(graph, divisor), degrees(graph.m, graph.edges)
+    return [rows[i] + degree[i] + 2 * graph.vertices[i].genus for i in range(graph.m)]
 
 
 class TestOpenbookCondition:
@@ -93,15 +90,9 @@ class TestMinimalDivisor:
         graphs = list(fixed_corpus.values())
         graphs.extend(graph for graph, _, _ in random_corpus[:60])
         for graph in graphs:
-            divisor = list(minimal_open_book(graph).multiplicities)
+            divisor = minimal_open_book(graph).multiplicities
             assert is_feasible(graph, divisor)
-            # pointwise minimality: no single coordinate can be lowered
-            for i in range(graph.m):
-                if divisor[i] == 1:
-                    continue
-                lowered = divisor.copy()
-                lowered[i] -= 1
-                assert not is_feasible(graph, lowered)
+            assert lowerable(graph, divisor) == []    # pointwise minimality
 
     def test_binding_is_consistent(self, random_corpus):
         for graph, _, _ in random_corpus[:40]:
@@ -129,9 +120,7 @@ class TestMinimalDivisor:
 
     def test_rounded_start_is_the_minimum_on_the_long_chain(self):
         # from ceil(I^{-1}c) this chain needs about m^2/8 = 500,000 jumps
-        m = 2000
-        graph = PlumbingGraph([(f"c{i}", -3 if i == m - 1 else -2, 0) for i in range(m)],
-                              [(f"c{i}", f"c{i + 1}") for i in range(m - 1)])
+        graph = parse_graph(graph_text(chain([-2] * 1999 + [-3])))
         start = graph.factors.solve_rounded_up(feasibility_thresholds(graph))
         assert start == minimal_open_book(graph).multiplicities
         assert is_feasible(graph, start)
@@ -148,10 +137,6 @@ def unit_step_minimum_between_the_proven_bounds(graph):
     d_up - I^{-1}(c - deg) in [0, 1)^m, (I.d_up)_i = c_i - deg_i + e_i u_i
     + sum(u_j over j ~ i) <= c_i, so d_up is feasible and lies above d*."""
     c = feasibility_thresholds(graph)
-    degrees = [0] * graph.m
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
     det = graph.factors.det
 
     def ceil_solve(b):
@@ -159,7 +144,8 @@ def unit_step_minimum_between_the_proven_bounds(graph):
         assert intersection_rows(graph, y) == [det * x for x in b]
         return [-(-x // det) for x in y]
 
-    lower, upper = ceil_solve(c), ceil_solve([x - d for x, d in zip(c, degrees)])
+    lower = ceil_solve(c)
+    upper = ceil_solve([x - d for x, d in zip(c, degrees(graph.m, graph.edges))])
     assert is_feasible(graph, upper)
     start = graph.factors.solve_rounded_up(c)
     minimum = unit_step_minimum(graph)
@@ -177,7 +163,7 @@ def cyclic_graphs(draw):
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, m)}
     pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
                           .filter(lambda p: p[0] < p[1]), max_size=8))
-    degree = [sum(v in p for p in pairs) for v in range(m)]
+    degree = degrees(m, pairs)
     slack = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     slack[0] = max(slack[0], 1)
     vertices = [(f"v{i}", -degree[i] - slack[i], draw(st.integers(0, 2)))

@@ -17,7 +17,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -29,8 +29,10 @@ from plumbook import (Elimination, PlumbingGraph, ValidationError,
 from plumbook.cli import main
 from plumbook.rational import eliminate_by_degree
 
-from .conftest import SEED, intersection_rows
-from .test_rational import leibniz_determinant
+from .conftest import SEED, eliminate, graph_rows, intersection_rows
+from .oracles import (bareiss_determinant, chain, degrees, dense_rows, graph_text,
+                      grids, leibniz_determinant, negative_definite_tree, random_tree,
+                      solves, tree_determinant)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -45,11 +47,6 @@ def continued_fraction(a: list[int]) -> Fraction:
     return value
 
 
-def chain(a: list[int]) -> PlumbingGraph:
-    vertices = [(f"c{i}", -x, 0) for i, x in enumerate(a)]
-    return PlumbingGraph(vertices, [(f"c{i}", f"c{i + 1}") for i in range(len(a) - 1)])
-
-
 def star(centre: int, genus: int, legs: list[list[int]], order: list[int]) -> PlumbingGraph:
     """Centre z of weight -centre, legs attached at their first entry,
     vertices declared in the given permutation of the natural order."""
@@ -62,15 +59,6 @@ def star(centre: int, genus: int, legs: list[list[int]], order: list[int]) -> Pl
             edges.append((previous, f"l{leg}_{k}"))
             previous = f"l{leg}_{k}"
     return PlumbingGraph([vertices[i] for i in order], edges)
-
-
-def rows_of(weights: list[int], pairs) -> list[list[int]]:
-    rows = [[0] * len(weights) for _ in weights]
-    for i, e in enumerate(weights):
-        rows[i][i] = e
-    for i, j in pairs:
-        rows[i][j] = rows[j][i] = 1
-    return rows
 
 
 def components(m: int, pairs) -> int:
@@ -96,7 +84,7 @@ def components(m: int, pairs) -> int:
 @given(entries)
 def test_chain_determinant_is_the_continued_fraction_numerator(a):
     p = continued_fraction(a).numerator
-    factors = chain(a).factors
+    factors = parse_graph(graph_text(chain([-x for x in a]))).factors
     assert factors.det == (-1) ** len(a) * p
 
 
@@ -151,13 +139,10 @@ def triangle(e: int) -> tuple[list[int], list[tuple[int, int]]]:
 def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
     weights, pairs = case
     m = len(weights)
-    rows = rows_of(weights, pairs)
+    rows = dense_rows(weights, pairs)
     # Sylvester: (-1)^k times the k-th leading minor must be > 0 for every k
-    failing = [k for k in range(1, m + 1)
-               if (-1) ** k * leibniz_determinant([r[:k] for r in rows[:k]]) <= 0]
-    # the sparse rows of (entry, 0) cells a graph hands over, each with its diagonal
-    factors = eliminate_by_degree([{j: (x, 0) for j, x in enumerate(r) if x or j == i}
-                                   for i, r in enumerate(rows)])
+    failing = first_failing_minor(rows, leibniz_determinant)
+    factors = eliminate(rows)
     if failing:
         assert factors is None
     else:
@@ -171,30 +156,11 @@ def test_definiteness_and_stopping_row_match_leibniz_leading_minors(case):
             PlumbingGraph(vertices, edges)
     elif failing:
         message = ("intersection matrix is not negative definite "
-                   f"(pivot at vertex v{failing[0] - 1})")
+                   f"(pivot at vertex v{failing - 1})")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             PlumbingGraph(vertices, edges)
     else:
         assert PlumbingGraph(vertices, edges).factors.det == leibniz_determinant(rows)
-
-
-def bareiss_determinant(rows) -> int:
-    """Fraction-free Gaussian elimination over the integers (Bareiss 1968),
-    bringing up a later row when a pivot is zero."""
-    a = [list(r) for r in rows]
-    n, sign, previous = len(a), 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-        previous = a[k][k]
-    return sign * a[-1][-1] if n else 1
 
 
 def first_failing_minor(rows, determinant) -> int | None:
@@ -209,7 +175,7 @@ def declare(euler, genus, pairs, order):
     position = {v: k for k, v in enumerate(order)}
     vertices = [(f"v{v}", euler[v], genus[v]) for v in order]
     edges = [(f"v{i}", f"v{j}") for i, j in sorted(pairs)]
-    rows = rows_of([euler[v] for v in order], [(position[i], position[j]) for i, j in pairs])
+    rows = dense_rows([euler[v] for v in order], [(position[i], position[j]) for i, j in pairs])
     return vertices, edges, rows
 
 
@@ -223,7 +189,7 @@ def declared_graphs(draw, max_m, cycles, slack):
     if cycles:
         pairs |= draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
                               .filter(lambda p: p[0] < p[1]), max_size=cycles))
-    degree = [sum(v in p for p in pairs) for v in range(m)]
+    degree = degrees(m, pairs)
     euler = [-degree[v] - draw(slack) for v in range(m)]
     genus = [draw(st.integers(0, 2)) for _ in range(m)]
     return declare(euler, genus, pairs, draw(st.permutations(range(m))))
@@ -237,10 +203,8 @@ def star_declared_centre_first(legs: int):
 def tree_declared_root_first(m: int):
     """A random recursive tree with e_v = -deg_v - 1; in declaration order
     it fills in to O(m^2) entries."""
-    rng = random.Random(SEED)
-    pairs = {(rng.randrange(i), i) for i in range(1, m)}
-    degree = [sum(v in p for p in pairs) for v in range(m)]
-    return declare([-d - 1 for d in degree], [0] * m, pairs, range(m))
+    tree = random_tree(m, SEED)
+    return declare(tree.euler, tree.genus, tree.pairs, range(m))
 
 
 @st.composite
@@ -329,7 +293,7 @@ def fill_after_a_neighbour_is_done():
     fill is in would be stale, and the pivot order would change."""
     pairs = {(0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 2), (1, 4), (2, 3), (2, 7),
              (3, 5), (3, 6), (3, 9), (4, 6), (4, 8), (5, 6), (5, 7), (5, 9), (8, 9)}
-    degree = [sum(v in p for p in pairs) for v in range(10)]
+    degree = degrees(10, pairs)
     return declare([-d - 1 for d in degree], [0] * 10, pairs, range(10))
 
 
@@ -383,6 +347,32 @@ def test_det_and_verdict_match_bareiss_leading_minors_in_declaration_order(case)
     assert graph.factors.det == minors[-1]
 
 
+@settings(PROPERTY, max_examples=200)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_a_tree_is_valid_exactly_when_its_subtree_determinants_say_so(m, seed):
+    # e_v = -deg_v - s_v with s_v in 0..3, up to three of them lowered to
+    # s_v - 1 >= -1 so that many trees fail, declared in a random order; the
+    # continuant from the leaves up needs no dense matrix, so m reaches 300,
+    # and Leibniz and Sylvester check it on the smallest trees
+    tree, rng = random_tree(m, seed), random.Random(seed + 1)
+    slack = [rng.randint(0, 3) for _ in range(m)]
+    for v in rng.sample(range(m), min(m, rng.randint(0, 3))):
+        slack[v] -= 1
+    euler = [-d - s for d, s in zip(degrees(m, tree.pairs), slack)]
+    vertices = [(tree.ids[v], euler[v], tree.genus[v]) for v in rng.sample(range(m), m)]
+    edges = [(tree.ids[i], tree.ids[j]) for i, j in tree.pairs]
+    if m <= 6:
+        rows = dense_rows(euler, tree.pairs)
+        failing = first_failing_minor(rows, leibniz_determinant)
+        assert tree_determinant(euler, tree.pairs) == leibniz_determinant(rows)
+        assert negative_definite_tree(euler, tree.pairs) == (failing is None)
+    if negative_definite_tree(euler, tree.pairs):
+        assert PlumbingGraph(vertices, edges).factors.det == tree_determinant(euler, tree.pairs)
+    else:
+        with pytest.raises(ValidationError, match="not negative definite"):
+            PlumbingGraph(vertices, edges)
+
+
 def test_an_invalid_tree_is_rejected_in_logarithmically_many_factorizations(counted):
     vertices, edges, _ = tree_declared_root_first(300)
     vertices[-1] = ("v299", 0, 0)
@@ -420,10 +410,8 @@ def test_a_union_of_definite_graphs_is_valid_exactly_when_it_has_one_component(c
         with pytest.raises(ValidationError, match="^graph is disconnected$"):
             PlumbingGraph(vertices, edges)
     else:
-        rows = [{i: (e, 0)} for i, (_, e, _) in enumerate(vertices)]
-        for i, j in pairs:
-            rows[i][j] = rows[j][i] = (1, 0)
-        assert PlumbingGraph(vertices, edges).factors.det == eliminate_by_degree(rows).det
+        rows = dense_rows([e for _, e, _ in vertices], pairs)
+        assert PlumbingGraph(vertices, edges).factors.det == eliminate(rows).det
 
 
 # `counted` is filled by no example, so it may outlive each one
@@ -436,17 +424,9 @@ def test_a_disconnected_graph_is_rejected_before_any_factorization(counted, case
     assert counted == []
 
 
-def two_grids(k: int) -> str:
-    """Two k x k grids in one plain file, every vertex e=-5."""
-    cells = [(p, r, c) for p in "ab" for r in range(k) for c in range(k)]
-    text = "".join(f"vertex {p}{r}_{c} e=-5 g=0\n" for p, r, c in cells)
-    text += "".join(f"edge {p}{r}_{c} {p}{r}_{c + 1}\n" for p, r, c in cells if c + 1 < k)
-    return text + "".join(f"edge {p}{r}_{c} {p}{r + 1}_{c}\n" for p, r, c in cells if r + 1 < k)
-
-
 def test_two_grids_in_one_file_are_rejected_before_any_factorization(counted):
     with pytest.raises(ValidationError, match="^graph is disconnected$"):
-        parse_graph(two_grids(10))
+        parse_graph(graph_text(grids(10, "ab")))
     assert counted == []
 
 
@@ -462,11 +442,6 @@ def test_a_valid_graph_beside_a_non_definite_one_is_disconnected(case):
         PlumbingGraph(vertices, edges)
 
 
-def scaled_integral(vector) -> tuple[int, list[int]]:
-    k = lcm(*(x.denominator for x in vector))
-    return k, [int(k * x) for x in vector]
-
-
 @PROPERTY
 @given(declared_graphs(max_m=12, cycles=4, slack=st.integers(0, 4)),
        st.lists(st.integers(1, 9), min_size=12, max_size=12))
@@ -478,8 +453,7 @@ def test_both_solves_satisfy_integer_row_sums(case, binding):
     except ValidationError:
         assume(False)
     cycle = canonical_cycle(graph)
-    k, r = scaled_integral(cycle.coefficients)
-    assert intersection_rows(graph, r) == [k * b for b in cycle.adjunction_rhs]
+    assert solves(graph_rows(graph), cycle.coefficients, cycle.adjunction_rhs)
     book = build_open_book(graph, binding)
     k, multiplicities = book.scale, book.multiplicities
     assert intersection_rows(graph, multiplicities) == [-k * n for n in binding]

@@ -23,24 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from plumbook import PlumbingGraph, serialize_graph
+from plumbook import PlumbingGraph, parse_graph, serialize_graph
 from plumbook.cli import main
 
 from .conftest import _fixed_graphs
+from .oracles import chain, graph_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _chain_weights() -> list[int]:
-    """Entries 40..140 of a 24-term negative continued fraction."""
-    return [-(40 + (37 * i) % 101) for i in range(24)]
-
-
 def _chain() -> PlumbingGraph:
-    weights = _chain_weights()
-    vertices = [(f"c{i}", e, 0) for i, e in enumerate(weights)]
-    edges = [(f"c{i}", f"c{i + 1}") for i in range(len(weights) - 1)]
-    return PlumbingGraph(vertices, edges)
+    """Entries 40..140 of a 24-term negative continued fraction."""
+    return parse_graph(graph_text(chain([-(40 + (37 * i) % 101) for i in range(24)])))
 
 
 def _star() -> PlumbingGraph:

@@ -4,23 +4,9 @@ import random
 import pytest
 
 from plumbook import PlumbingGraph, ValidationError
-from plumbook.rational import eliminate_by_degree
 
-from .conftest import SEED
-
-
-def leibniz_determinant(rows):
-    """Permutation-sum determinant, independent of the elimination code."""
-    n = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        term = (-1) ** inversions
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
+from .conftest import SEED, eliminate
+from .oracles import leibniz_determinant, row_sums
 
 
 def principal_minor_negative_definite(rows):
@@ -45,17 +31,9 @@ def random_negative_definite(rng, n):
     return rows
 
 
-def eliminate(rows):
-    """Factor a dense symmetric matrix, handed over as its full sparse rows
-    of (entry, 0) cells, each with its diagonal; None if it is not negative
-    definite."""
-    return eliminate_by_degree([{j: (x, 0) for j, x in enumerate(row) if x or j == i}
-                                for i, row in enumerate(rows)])
-
-
 def product(rows, x):
-    """Dense rows . x, written out here so it shares no code with the solve."""
-    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+    """Dense rows . x by the oracles' row sums, sharing no code with the solve."""
+    return row_sums([dict(enumerate(row)) for row in rows], x)
 
 
 class TestDeterminant:

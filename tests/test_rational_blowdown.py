@@ -8,7 +8,7 @@ fiber of a smoothing with mu = 0, so the closed forms below must hold:
 manifold has chi = X - m and sigma = S + m, b_2 dropping by m.
 Fintushel and Stern's C_p = (-(p + 2), -2, ..., -2), with p - 1
 vertices, is the branch that always takes the second move; its |det| is
-p^2.  The determinants here come from a continuant computed in this file.
+p^2.  The determinants here come from the continuant of `tests/oracles.py`.
 """
 
 import contextlib
@@ -25,39 +25,26 @@ from plumbook import (canonical_cycle, milnor_fiber_invariants, parse_graph,
                       surgery_characteristics)
 from plumbook.cli import main
 
+from .oracles import Graph, chain, graph_text, tree_determinant
 
-def wahl_chain(moves: str) -> tuple[int, ...]:
-    """The weights b_i of the chain (-b_1, ..., -b_k) that `moves` reaches
-    from (-4): "L" prepends a 2 and raises the last weight, "R" raises the
-    first weight and appends a 2."""
-    weights = [4]
+
+def wahl_chain(moves: str) -> Graph:
+    """The chain that `moves` reaches from (-4): "L" prepends a -2 and lowers
+    the last Euler number by 1, "R" lowers the first and appends a -2."""
+    euler = [-4]
     for move in moves:
         if move == "L":
-            weights = [2] + weights[:-1] + [weights[-1] + 1]
+            euler = [-2] + euler[:-1] + [euler[-1] - 1]
         else:
-            weights = [weights[0] + 1] + weights[1:] + [2]
-    return tuple(weights)
+            euler = [euler[0] - 1] + euler[1:] + [-2]
+    return chain(euler)
 
 
-def chain_text(weights) -> str:
-    lines = [f"vertex c{i} e={-b} g=0" for i, b in enumerate(weights)]
-    lines += [f"edge c{i} c{i + 1}" for i in range(len(weights) - 1)]
-    return "\n".join(lines) + "\n"
-
-
-def continuant(weights) -> int:
-    """det of the tridiagonal matrix with -b_i on the diagonal and 1 beside it."""
-    before, det = 0, 1
-    for b in weights:
-        before, det = det, -b * det - before
-    return det
-
-
-def check_closed_forms(weights, chi: int, sigma: int) -> None:
-    graph = parse_graph(chain_text(weights))
-    m = len(weights)
+def check_closed_forms(wahl: Graph, chi: int, sigma: int) -> None:
+    graph = parse_graph(graph_text(wahl))
+    m = len(wahl.euler)
     det = graph.factors.det
-    assert det == continuant(weights)
+    assert det == tree_determinant(wahl.euler, wahl.pairs)
     assert isqrt(abs(det)) ** 2 == abs(det)
     assert canonical_cycle(graph).k_squared == -m
     invariants = milnor_fiber_invariants(graph, 0)
@@ -83,16 +70,16 @@ class TestWahlChains:
     @example(moves="L" * 30, chi=0, sigma=0)
     @example(moves="RL" * 15, chi=-1, sigma=1)
     def test_closed_forms_along_any_path(self, chain_path, moves, chi, sigma):
-        weights = wahl_chain(moves)
-        check_closed_forms(weights, chi, sigma)
-        chain_path.write_text(chain_text(weights))
+        wahl = wahl_chain(moves)
+        check_closed_forms(wahl, chi, sigma)
+        chain_path.write_text(graph_text(wahl))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["surgery", "-i", str(chain_path), "--mu", "0",
                          "--chi", str(chi), "--sigma", str(sigma), "--json"])
         assert code == 0
         report = json.loads(out.getvalue())
-        m = len(weights)
+        m = len(wahl.euler)
         assert (report["m"], report["mu"]) == (m, 0)
         assert (report["sigma of smoothing"], report["p_g"]) == (0, 0)
         assert (report["chi"], report["sigma"]) == (chi - m, sigma + m)
@@ -101,8 +88,9 @@ class TestWahlChains:
 class TestFintushelSternChains:
     @pytest.mark.parametrize("p", [2, 3, 4, 7, 30, 101])
     def test_c_p_has_determinant_p_squared(self, p):
-        weights = (p + 2,) + (2,) * (p - 2)
-        assert weights == wahl_chain("R" * (p - 2))
-        graph = parse_graph(chain_text(weights))
-        assert graph.factors.det == continuant(weights) == (-1) ** (p - 1) * p * p
-        check_closed_forms(weights, 3, 1)
+        wahl = wahl_chain("R" * (p - 2))
+        assert wahl.euler == [-(p + 2)] + [-2] * (p - 2)
+        graph = parse_graph(graph_text(wahl))
+        det = tree_determinant(wahl.euler, wahl.pairs)
+        assert graph.factors.det == det == (-1) ** (p - 1) * p * p
+        check_closed_forms(wahl, 3, 1)
