@@ -150,8 +150,9 @@ def read_graph(text: str) -> Graph:
     for number, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         words = " ".join(line.split("#", 1)[0].split())
         vertex, edge = _VERTEX.fullmatch(words), _EDGE.fullmatch(words)
+        vertex = vertex if vertex and vertex[1] not in index else None
         try:
-            numbers = vertex and vertex[1] not in index and (int(vertex[2]), int(vertex[3]))
+            numbers = vertex and (int(vertex[2]), int(vertex[3]))
         except ValueError:           # past the interpreter's digit limit
             numbers = None
         if numbers:
